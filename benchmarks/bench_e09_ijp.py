@@ -70,8 +70,9 @@ def test_search_rediscovers_triangle_ijp(benchmark):
 def test_search_empty_on_ptime_queries(benchmark):
     """Conjecture 49's converse: PTIME queries should admit no IJP.
 
-    Holds for q_perm / q_Aperm (and q_z3, q_TS3conf, q_A3perm_R — see
-    tests).  Note: it does NOT hold for q_ACconf and q_Swx3perm_R —
+    Holds within the searched bounds for q_perm / q_Aperm (and q_z3,
+    and q_A3perm_R at one copy — see tests).  Note: it does NOT hold
+    for q_ACconf, q_TS3conf (at two copies) and q_Swx3perm_R —
     Definition 48 as printed admits degenerate databases for those
     PTIME queries, a documented reproduction finding (EXPERIMENTS.md,
     E9): Conjecture 49 needs additional gluing conditions.

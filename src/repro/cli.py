@@ -10,7 +10,9 @@ Commands
     Compute resilience over a database given as JSON
     ``{"relations": {"R": {"arity": 2, "exogenous": false,
     "tuples": [[1,2], ...]}}}`` and print the value, a minimum
-    contingency set, and the algorithm used.
+    contingency set, and the algorithm used.  When some witness uses
+    only exogenous tuples no contingency set exists: the command prints
+    one ``repro: error: ...`` line to stderr and exits 2.
 
 ``zoo``
     List every named query from the paper with its paper verdict and
@@ -82,6 +84,7 @@ from repro.ijp.search import ijp_search
 from repro.query.parser import parse_query
 from repro.query.zoo import ALL_QUERIES, PAPER_VERDICTS
 from repro.structure.classifier import classify
+from repro.witness import UnbreakableQueryError
 
 
 def load_database(path: str) -> Database:
@@ -108,7 +111,11 @@ def cmd_solve(args) -> int:
     query = parse_query(args.query)
     db = load_database(args.database)
     analyzer = ResilienceAnalyzer(query)
-    result = analyzer.solve(db)
+    try:
+        result = analyzer.solve(db)
+    except UnbreakableQueryError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
     print(f"rho = {result.value}")
     print(f"contingency set: {sorted(result.contingency_set)}")
     print(f"method: {result.method}")

@@ -26,14 +26,17 @@ and the sharded, resumable version lives in :mod:`repro.ijp.sweep`.
 by degenerate databases for some *PTIME* queries: e.g. for
 ``q_ACconf`` (Proposition 12, in P) the two-copy partition
 ``{x0,y0} {z0,x1} {y1,z1}`` yields endpoints ``R(p,p)``/``R(r,r)``
-passing all five conditions, and for ``q_Swx3perm_R`` (Proposition 44,
-in P) a one-copy partition does.  Under Conjecture 49 these would imply
-NP-hardness of PTIME problems, so the conjecture as stated needs
-further conditions (plausibly about how IJP copies can be *glued* at
-their endpoints without spurious witnesses — the property the Figure 8
-vertex-cover template actually uses).  The tests and benchmark E9
-record this; the search remains empty, as expected, on
-``q_perm``, ``q_Aperm``, ``q_z3``, ``q_TS3conf`` and ``q_A3perm_R``.
+passing all five conditions, for ``q_TS3conf`` (Proposition 41, in P)
+a two-copy partition yields endpoints ``R(1,1)``/``R(2,2)``, and for
+``q_Swx3perm_R`` (Proposition 44, in P) a one-copy partition does.
+Under Conjecture 49 these would imply NP-hardness of PTIME problems,
+so the conjecture as stated needs further conditions (plausibly about
+how IJP copies can be *glued* at their endpoints without spurious
+witnesses — the property the Figure 8 vertex-cover template actually
+uses).  The tests and benchmark E9 record this.  The bounded search
+stays empty on ``q_perm`` and ``q_z3`` (two copies), and on
+``q_Aperm``, ``q_A3perm_R`` and ``q_TS3conf`` at one copy; an empty
+result is evidence only up to the copy count and budget searched.
 """
 
 from __future__ import annotations
@@ -136,8 +139,10 @@ def ijp_search(
     Returns the first :class:`IJPReport` found, or ``None`` when no IJP
     exists within ``max_joins`` copies and the partition budget.  A
     ``None`` is *not* a proof of impossibility — Conjecture 49's
-    converse direction is open — but on the paper's PTIME queries the
-    bounded search comes up empty, as expected.
+    converse direction is open.  Nor does a find prove hardness:
+    Definition 48 as printed also admits IJPs for some PTIME queries
+    (``q_ACconf``, ``q_TS3conf`` and ``q_Swx3perm_R``; see the module
+    docstring).
 
     Since the distributed-search rewrite this rides the vectorized RGS
     engine (:mod:`repro.ijp.rgs` / :mod:`repro.ijp.space`): partitions

@@ -60,6 +60,7 @@ from __future__ import annotations
 import math
 import time
 from functools import lru_cache
+from heapq import heapify, heappop, heapreplace
 from typing import (
     Callable,
     Dict,
@@ -106,6 +107,40 @@ def _ids_cost(ids, costs) -> int:
 # Shared combinatorial bounds (consumed by exact.py as well)
 # ---------------------------------------------------------------------------
 
+class _Incidence:
+    """The rows each element of a set system lies in, built once.
+
+    One index serves every upper-bound step of a component: the greedy,
+    the LP-rounding repair, the prune and the swap search.  Each step
+    keeps its own per-row cover counts (how many chosen elements lie in
+    each row) and updates them in place as elements enter and leave,
+    instead of re-intersecting every row with the chosen set.
+    """
+
+    __slots__ = ("sets", "rows_of")
+
+    def __init__(self, sets: Sequence[FrozenSet[T]]):
+        self.sets = list(sets)
+        rows_of: Dict[T, List[int]] = {}
+        for r, s in enumerate(self.sets):
+            for t in s:
+                rows = rows_of.get(t)
+                if rows is None:
+                    rows_of[t] = [r]
+                else:
+                    rows.append(r)
+        self.rows_of = rows_of
+
+    def cover(self, chosen) -> List[int]:
+        """The number of ``chosen`` elements in each row."""
+        cover = [0] * len(self.sets)
+        rows_of = self.rows_of
+        for t in chosen:
+            for r in rows_of.get(t, ()):
+                cover[r] += 1
+        return cover
+
+
 def greedy_hitting_set(
     sets: Sequence[FrozenSet[T]], costs=None
 ) -> Set[T]:
@@ -132,45 +167,70 @@ def greedy_hitting_set(
     The result is therefore a pure function of the input sets (and
     costs), independent of set/dict iteration order.
 
-    Counts are maintained incrementally (each set is retired exactly
-    once), so the cost is one max-scan per pick plus the incidence size
-    — not the quadratic rebuild a naive greedy pays.
+    Picks come off a lazy max-heap: counts only fall, so an entry whose
+    count is out of date is re-pushed with the current one when it
+    surfaces.  Each set is retired exactly once, so a run costs
+    ``O(I log n)`` for incidence size ``I`` over ``n`` elements.
     """
-    set_list = list(sets)
-    counts: Dict[T, int] = {}
-    rows_of: Dict[T, List[int]] = {}
-    for r, s in enumerate(set_list):
-        for t in s:
-            counts[t] = counts.get(t, 0) + 1
-            rows_of.setdefault(t, []).append(r)
-    alive = [True] * len(set_list)
-    alive_count = len(set_list)
+    return _greedy(_Incidence(sets), costs)
+
+
+class _Ratio:
+    """A weighted greedy heap entry: ``count/cost`` descending, then the
+    element ascending, compared by integer cross-multiplication."""
+
+    __slots__ = ("count", "cost", "element")
+
+    def __init__(self, count: int, cost: int, element):
+        self.count = count
+        self.cost = cost
+        self.element = element
+
+    def __lt__(self, other: "_Ratio") -> bool:
+        diff = self.count * other.cost - other.count * self.cost
+        return diff > 0 or (diff == 0 and self.element < other.element)
+
+
+def _greedy(index: _Incidence, costs=None) -> Set[T]:
+    """:func:`greedy_hitting_set` over a prebuilt index."""
+    sets = index.sets
+    rows_of = index.rows_of
+    counts = {t: len(rows) for t, rows in rows_of.items()}
+    # Every element has exactly one heap entry, ordered by its count
+    # (or ratio) and then by the element itself.
+    if costs is None:
+        def entry(t, c):
+            return (-c, t)
+
+        def unpack(e):
+            return e[1], -e[0]
+    else:
+        def entry(t, c):
+            return _Ratio(c, costs[t], t)
+
+        def unpack(e):
+            return e.element, e.count
+    heap = [entry(t, c) for t, c in counts.items()]
+    heapify(heap)
+    alive = [True] * len(sets)
+    alive_count = len(sets)
     chosen: Set[T] = set()
     while alive_count:
-        if costs is None:
-            top = max(counts.values())
-            best = min(t for t, c in counts.items() if c == top)
-        else:
-            # Highest count/cost ratio wins; cross-multiplied integer
-            # comparison keeps the order exact, ties go to the smallest
-            # element (the deterministic tie-break the satellite fix
-            # pins: cost-ratio first, then the element order).
-            best = None
-            best_c = 0
-            best_w = 1
-            for t, c in counts.items():
-                if c <= 0:
-                    continue
-                w = costs[t]
-                diff = c * best_w - best_c * w
-                if best is None or diff > 0 or (diff == 0 and t < best):
-                    best, best_c, best_w = t, c, w
+        best, c = unpack(heap[0])
+        now = counts[best]
+        if now != c:
+            if now:
+                heapreplace(heap, entry(best, now))
+            else:
+                heappop(heap)
+            continue
+        heappop(heap)
         chosen.add(best)
         for r in rows_of[best]:
             if alive[r]:
                 alive[r] = False
                 alive_count -= 1
-                for t in set_list[r]:
+                for t in sets[r]:
                     counts[t] -= 1
     return chosen
 
@@ -252,142 +312,198 @@ def _lp_component(component: WitnessComponent, costs=None):
     return float(result.fun), result.x
 
 
-def _lp_rounding(component: WitnessComponent, x, costs=None) -> Set[int]:
+def _lp_rounding(
+    component: WitnessComponent, x, index: _Incidence
+) -> Set[int]:
     """Round an LP solution to a feasible hitting set (global tuple ids).
 
     Taking every tuple with weight ``>= 1/f`` (``f`` = largest witness
     size) is feasible — each witness has at most ``f`` tuples, so at
     least one carries weight ``>= 1/f`` — and costs at most ``f`` times
     the LP optimum (the argument is objective-agnostic, so it holds for
-    the weighted LP too).  Redundant tuples are pruned afterwards.
+    the weighted LP too).  The caller prunes redundant tuples (the local
+    search starts with a prune).
     """
     f = max((len(s) for s in component.sets), default=1)
     threshold = 1.0 / f - 1e-9
-    chosen = {
-        component.tuple_ids[j] for j in range(len(component.tuple_ids))
-        if x[j] >= threshold
-    }
+    tuple_ids = component.tuple_ids
+    chosen = {tuple_ids[j] for j in np.flatnonzero(x >= threshold).tolist()}
     # Guard against LP solver tolerance leaving a row unhit: repair with
-    # the smallest tuple of each missed witness (deterministic, and the
-    # theoretical guarantee is unaffected when the LP is clean).
-    for s in component.sets:
-        if not (s & chosen):
-            chosen.add(min(s))
-    return _prune_redundant(component.sets, chosen, costs=costs)
+    # the smallest tuple of each missed witness, in row order
+    # (deterministic, and the theoretical guarantee is unaffected when
+    # the LP is clean).
+    cover = index.cover(chosen)
+    rows_of = index.rows_of
+    for r, s in enumerate(index.sets):
+        if not cover[r]:
+            t = min(s)
+            chosen.add(t)
+            for q in rows_of[t]:
+                cover[q] += 1
+    return chosen
 
 
 # ---------------------------------------------------------------------------
 # Local search
 # ---------------------------------------------------------------------------
 
-def _prune_redundant(
-    sets: Sequence[FrozenSet[int]], chosen: Set[int], costs=None
-) -> Set[int]:
-    """Drop tuples every one of whose witnesses is hit by another choice.
+def _prune(
+    index: _Incidence, chosen: Set[int], cover: List[int], suspects, costs
+) -> None:
+    """Drop from ``chosen`` (in place) the ``suspects`` every one of whose
+    rows another choice also hits, updating ``cover`` as they go.
 
-    Scans in descending tuple-id order (deterministic; keeps the small
-    ids the greedy/branching orders prefer) maintaining per-witness hit
-    counts, so the whole pass is linear in the incidence size.  With
+    Suspects are visited in descending tuple-id order (deterministic;
+    keeps the small ids the greedy/branching orders prefer).  With
     ``costs`` the scan visits expensive tuples first, so when two
     redundant tuples shadow each other the pricier one is dropped.
+
+    A kept tuple is left with a row only it covers, and that row stays
+    so while the chosen set changes elsewhere: the local search relies
+    on this to re-check only the tuples a swap can have made redundant.
     """
-    cover: List[int] = [len(s & chosen) for s in sets]
-    rows_of: Dict[int, List[int]] = {}
-    for r, s in enumerate(sets):
-        for t in s:
-            if t in chosen:
-                rows_of.setdefault(t, []).append(r)
-    kept = set(chosen)
     if costs is None:
-        order = sorted(kept, reverse=True)
+        order = sorted(suspects, reverse=True)
     else:
-        order = sorted(kept, key=lambda t: (costs[t], t), reverse=True)
+        order = sorted(suspects, key=lambda t: (costs[t], t), reverse=True)
+    rows_of = index.rows_of
     for t in order:
-        rows = rows_of.get(t, [])
-        if all(cover[r] >= 2 for r in rows):
-            kept.discard(t)
+        rows = rows_of.get(t, ())
+        for r in rows:
+            if cover[r] < 2:
+                break
+        else:
+            chosen.discard(t)
             for r in rows:
                 cover[r] -= 1
-    return kept
 
 
 # Local-search effort caps: both are *count*-based, never clock-based,
-# so results stay deterministic across machines.
+# so results stay deterministic across machines.  A pass examines the
+# pairs ``a < b`` of the chosen set in lexicographic order and stops at
+# the first improving one, or after this many pairs.
 _SWAP_PASSES = 4
 _SWAP_PAIRS_PER_PASS = 4000
 
 
 def _local_search(
-    sets: Sequence[FrozenSet[int]], chosen: Set[int], costs=None
+    index: _Incidence, chosen: Set[int], costs=None
 ) -> Set[int]:
-    """Improve a feasible hitting set by redundancy pruning and 2-for-1 swaps.
+    """Improve a hitting set by redundancy pruning and 2-for-1 swaps.
 
     A swap replaces two chosen tuples ``a < b`` with one unchosen tuple
-    ``t`` that hits every witness only ``a`` or ``b`` were hitting
-    (computed from per-tuple row lists and hit counts, so a pair check
-    costs the two tuples' degrees, not a scan of all witnesses).
-    Passes repeat until a fixpoint or the deterministic effort caps are
-    reached; the output is always feasible and never costlier than the
-    input.  With ``costs`` a swap is applied only when the replacement
-    is strictly cheaper than the pair it evicts, so the cost objective
-    (not the cardinality) monotonically improves.
+    ``t`` that hits every witness only ``a`` or ``b`` were hitting.
+    After a prune every chosen tuple has a row only it covers, so ``t``
+    must lie in every such row of ``a`` and of ``b``: each pass first
+    collects, per chosen tuple, the unchosen tuples that fit all its
+    private rows, and examines only the pairs whose two collections
+    meet.  No other pair can yield a swap.  Passes repeat until a
+    fixpoint or the deterministic effort caps are reached, counted by
+    pair position, so the swap found is the first improving pair in
+    ``(a, b)`` order.  With ``costs`` a swap is applied only when the
+    replacement is strictly cheaper than the pair it evicts, so the
+    cost objective (not the cardinality) monotonically improves.
+
+    After a swap only tuples sharing a row with ``t`` can have become
+    redundant, so only they are re-checked.  A pass costs the chosen
+    tuples' degrees plus the examined pairs' degrees.  The output is
+    never costlier than the input, and feasible when the input is.
     """
-    chosen = _prune_redundant(sets, chosen, costs=costs)
+    sets = index.sets
+    rows_of = index.rows_of
+    chosen = set(chosen)
+    cover = index.cover(chosen)
+    _prune(index, chosen, cover, list(chosen), costs)
     for _ in range(_SWAP_PASSES):
-        improved = False
-        cover = [len(s & chosen) for s in sets]
-        rows_of: Dict[int, List[int]] = {}
-        for r, s in enumerate(sets):
-            for t in s:
-                if t in chosen:
-                    rows_of.setdefault(t, []).append(r)
-        ordered = sorted(chosen)
-        pairs = 0
-        for i, a in enumerate(ordered):
-            if improved:
-                break
-            rows_a = rows_of.get(a, [])
-            for b in ordered[i + 1:]:
-                pairs += 1
-                if pairs > _SWAP_PAIRS_PER_PASS:
-                    break
-                rows_b = rows_of.get(b, [])
-                # Witness rows left unhit if both a and b are removed:
-                # singly-covered rows of either, plus doubly-covered
-                # rows containing both.
-                b_rows = set(rows_b)
-                must_hit = (
-                    [r for r in rows_a if cover[r] == 1]
-                    + [r for r in rows_b if cover[r] == 1]
-                    + [r for r in rows_a if r in b_rows and cover[r] == 2]
-                )
-                if not must_hit:
-                    # a and b are jointly redundant — drop both.
-                    chosen = _prune_redundant(sets, chosen - {a, b}, costs=costs)
-                    improved = True
-                    break
-                candidates = set(sets[must_hit[0]]) - chosen
-                for r in must_hit[1:]:
-                    candidates &= sets[r]
-                    if not candidates:
-                        break
-                if candidates:
-                    if costs is None:
-                        pick = min(candidates)
-                    else:
-                        pick = min(candidates, key=lambda t: (costs[t], t))
-                        if costs[pick] >= costs[a] + costs[b]:
-                            continue
-                    chosen = _prune_redundant(
-                        sets, (chosen - {a, b}) | {pick}, costs=costs
-                    )
-                    improved = True
-                    break
-            else:
-                continue
-        if not improved:
+        swap = _find_swap(index, chosen, cover, costs)
+        if swap is None:
             break
+        a, b, pick = swap
+        for t in (a, b):
+            chosen.discard(t)
+            for r in rows_of[t]:
+                cover[r] -= 1
+        chosen.add(pick)
+        suspects = set()
+        for r in rows_of[pick]:
+            cover[r] += 1
+            suspects.update(sets[r])
+        suspects &= chosen
+        suspects.discard(pick)
+        _prune(index, chosen, cover, suspects, costs)
     return chosen
+
+
+def _find_swap(
+    index: _Incidence, chosen: Set[int], cover: List[int], costs
+) -> Optional[Tuple[int, int, int]]:
+    """The first improving 2-for-1 swap ``(a, b, t)`` of one pass, or None.
+
+    Requires every chosen tuple to have a row only it covers (the state
+    a prune leaves).  The tuples ``t`` can replace ``a`` and ``b`` are
+    those in every row only ``a`` or only ``b`` covers, and in every
+    row that both cover alone.
+    """
+    sets = index.sets
+    rows_of = index.rows_of
+    ordered = sorted(chosen)
+    position = {t: i for i, t in enumerate(ordered)}
+    fits: Dict[int, Set[int]] = {}
+
+    def fit(a: int) -> Set[int]:
+        # The unchosen tuples in every row only ``a`` covers.
+        found = fits.get(a)
+        if found is None:
+            for r in rows_of[a]:
+                if cover[r] == 1:
+                    if found is None:
+                        found = set(sets[r])
+                    else:
+                        found &= sets[r]
+            found.discard(a)
+            fits[a] = found
+        return found
+
+    before = 0  # pairs ahead of (a, ·) in the pass order
+    n = len(ordered)
+    for i, a in enumerate(ordered):
+        room = _SWAP_PAIRS_PER_PASS - before
+        if room <= 0:
+            break
+        before += n - 1 - i
+        fit_a = fit(a)
+        if not fit_a:
+            continue
+        # A partner b shares a fitting tuple t, so t lies in a row only
+        # b covers: the owners of t's singly-covered rows are the only
+        # partners, kept within the pair cap.
+        last = i + room
+        partners = set()
+        for t in fit_a:
+            for r in rows_of[t]:
+                if cover[r] == 1:
+                    for b in sets[r]:
+                        if b in chosen:
+                            j = position[b]
+                            if i < j <= last:
+                                partners.add(j)
+                            break
+        for j in sorted(partners):
+            b = ordered[j]
+            candidates = fit_a & fit(b)
+            for r in rows_of[a]:
+                if not candidates:
+                    break
+                if cover[r] == 2 and b in sets[r]:
+                    candidates &= sets[r]
+            if not candidates:
+                continue
+            if costs is None:
+                return a, b, min(candidates)
+            pick = min(candidates, key=lambda t: (costs[t], t))
+            if costs[pick] < costs[a] + costs[b]:
+                return a, b, pick
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +769,7 @@ def _iter_bits(mask: int):
 # ---------------------------------------------------------------------------
 
 def _component_interval(
-    component: WitnessComponent, use_lp: bool = True, costs=None
+    component: WitnessComponent, costs=None
 ) -> Tuple[int, Set[int]]:
     """Certified ``(lower_bound, upper_bound_set)`` for one component.
 
@@ -662,19 +778,14 @@ def _component_interval(
     coverage/cost ratio, and the LP relaxation carries the cost vector.
     """
     lower = disjoint_witness_lower_bound(component.sets, costs=costs)
-    upper = _local_search(
-        component.sets,
-        greedy_hitting_set(component.sets, costs=costs),
-        costs=costs,
-    )
-    if use_lp and lower < _ids_cost(upper, costs):
+    index = _Incidence(component.sets)
+    upper = _local_search(index, _greedy(index, costs), costs=costs)
+    if lower < _ids_cost(upper, costs):
         lp_value, x = _lp_component(component, costs=costs)
         if lp_value is not None:
             lower = max(lower, _lp_floor(lp_value))
             rounded = _local_search(
-                component.sets,
-                _lp_rounding(component, x, costs=costs),
-                costs=costs,
+                index, _lp_rounding(component, x, index), costs=costs
             )
             if _ids_cost(rounded, costs) < _ids_cost(upper, costs):
                 upper = rounded

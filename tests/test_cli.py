@@ -62,6 +62,21 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "rho = 2" in out
 
+    def test_solve_unbreakable_is_an_input_error(self, capsys, tmp_path):
+        # Every witness is exogenous, so no deletion falsifies the query.
+        spec = {"relations": {"R": {
+            "arity": 2, "exogenous": True, "tuples": [[1, 2], [2, 3]],
+        }}}
+        path = tmp_path / "db.json"
+        path.write_text(json.dumps(spec))
+        assert main(["solve", "R(x,y), R(y,z)", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("repro: error: ")
+        assert "exogenous" in lines[0]
+
     def test_zoo(self, capsys):
         assert main(["zoo"]) == 0
         out = capsys.readouterr().out

@@ -159,11 +159,27 @@ class TestDefinition48Gaps:
         report = ijp_search(q_Swx3perm_R, max_joins=1)
         assert report is not None  # despite q_Swx3perm_R being PTIME (Prop 44)
 
+    def test_qTS3conf_admits_degenerate_ijp_at_two_joins(self):
+        from repro.query.zoo import q_TS3conf
+
+        # Empty at one join copy, but not at two, despite q_TS3conf
+        # being PTIME (Prop 41).
+        assert ijp_search(q_TS3conf, max_joins=1) is None
+        report = ijp_search(q_TS3conf, max_joins=2)
+        assert report is not None and report.is_ijp
+        assert report.pair == (DBTuple("R", (1, 1)), DBTuple("R", (2, 2)))
+        # The certificate rebuilds and passes the checker on its own.
+        cert = sweep_space(q_TS3conf, 2, stop_on_first=True).certificates[0]
+        assert cert.pair == report.pair
+        recheck = check_ijp(cert.database(q_TS3conf), q_TS3conf, *cert.pair)
+        assert recheck.is_ijp
+        assert recheck.resilience == report.resilience
+        assert not certificate_is_proper(cert)  # reflexive endpoints
+
     def test_other_ptime_queries_stay_empty(self):
-        from repro.query.zoo import q_A3perm_R, q_TS3conf, q_z3
+        from repro.query.zoo import q_A3perm_R, q_z3
 
         assert ijp_search(q_z3, max_joins=2, partition_budget=20000) is None
-        assert ijp_search(q_TS3conf, max_joins=1) is None
         assert ijp_search(q_A3perm_R, max_joins=1) is None
 
 
