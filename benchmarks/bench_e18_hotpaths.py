@@ -293,7 +293,7 @@ def test_answers_bit_identical_across_engines(tmp_path):
             clear_witness_cache()
             baseline = solve_batch(pairs, **kwargs)
         runs = {}
-        with _env({**NEW_ENGINES, "REPRO_COLUMNAR_MIN_TUPLES": "0"}):
+        with _env(NEW_ENGINES):
             cache_dir = tmp_path / mode
             for label, extra in (
                 ("serial", {}),

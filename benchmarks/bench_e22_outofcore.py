@@ -21,11 +21,12 @@ the instance as Python objects.
   and in-memory backends must agree bit-for-bit: equal content
   digests, identical witness incidence matrices (universe order and
   all), and equal resilience values.
-* *Planner* — a snapshot-backed instance must plan ``join=columnar``
-  with ``size_class="out-of-core"``.
+* *Columnar pick* — a snapshot-backed instance joins columnar at any
+  size, even below the in-memory size rule, and ``repro planner
+  explain`` reports ``join=columnar`` for it.
 
 Results are written to ``BENCH_e22_outofcore.json`` at the repository
-root (same trajectory format as ``BENCH_e21_planner.json``; see
+root (same trajectory format as ``BENCH_e18_hotpaths.json``; see
 ``docs/performance.md``).  CI's ``tests-storage`` job shrinks the
 scale through ``REPRO_BENCH_E22_TUPLES`` for a smoke run and uploads
 the record as an artifact.
@@ -42,7 +43,12 @@ import pytest
 
 import repro
 from repro.planner import plan_instance
-from repro.query.columnar import columnar_witness_incidence
+from repro.query.columnar import (
+    MIN_TUPLES_DEFAULT,
+    backend_counters,
+    columnar_witness_incidence,
+    reset_backend_counters,
+)
 from repro.resilience.solver import solve
 from repro.storage import ingest_database, open_stored_database
 from repro.workloads import (
@@ -174,13 +180,17 @@ def test_gate_bit_identical_to_in_memory_at_overlap(tmp_path):
 
 
 def test_gate_planner_plans_out_of_core(tmp_path):
-    """Gate: the planner recognizes snapshot-backed instances."""
-    db = chain_database(4_000, HOT_PAIRS)
+    """Gate: a snapshot smaller than the in-memory size rule still joins
+    columnar, and ``repro planner explain`` says so."""
+    db = chain_database(MIN_TUPLES_DEFAULT // 2, 8)
     stored = open_stored_database(ingest_database(db, tmp_path / "plan"))
     plan = plan_instance(stored, chain_query())
     assert plan.join == "columnar"
-    assert plan.size_class == "out-of-core"
     assert plan.features.storage
+    reset_backend_counters()
+    r_st = solve(stored, chain_query(), method="exact")
+    assert backend_counters()["columnar"] >= 1
+    assert r_st.value == solve(db, chain_query(), method="exact").value
     RESULTS["plan"] = {"signature": plan.signature()}
 
 

@@ -23,6 +23,6 @@ The central objects are:
 
 from repro.db.tuples import DBTuple
 from repro.db.relation import Relation
-from repro.db.database import Database
+from repro.db.database import Database, endogenous_tuple_count
 
-__all__ = ["DBTuple", "Relation", "Database"]
+__all__ = ["DBTuple", "Relation", "Database", "endogenous_tuple_count"]

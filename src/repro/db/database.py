@@ -312,3 +312,18 @@ class Database:
             for r in self.relations.values()
         )
         return f"Database({rels}; n={len(self)})"
+
+
+def endogenous_tuple_count(database) -> int:
+    """The number of endogenous tuples, counted from ``relations``.
+
+    Exogenous tuples can never enter a contingency set (Definition 1),
+    so this bounds the hitting-set variable count: serving admission
+    and the parallel component split size instances by it.  Only
+    relation cardinalities are read, so snapshot-backed databases
+    (:class:`repro.storage.StoredDatabase`) are counted without a
+    decode.
+    """
+    return sum(
+        len(rel) for rel in database.relations.values() if not rel.exogenous
+    )

@@ -173,8 +173,8 @@ def check_ijp(
     ``D``, ``D - a``, ``D - b``, ``D - ab`` — and routes them through
     the engine front door (:func:`repro.resilience.solver.solve` /
     :func:`repro.core.analyzer.solve_batch`) rather than a fixed exact
-    backend, so dispatch, the planner, and the bitset kernel all apply.
-    With ``cache_dir`` the probes go through the persistent
+    backend, so dispatch, the columnar join, and the bitset kernel all
+    apply.  With ``cache_dir`` the probes go through the persistent
     :class:`~repro.witness.cache.ResultCache`, where their content-hash
     keys dedupe repeats — the unmodified-``D`` probe is shared by every
     candidate pair of the same database.
@@ -216,8 +216,8 @@ def check_ijp(
 def _probe_resilience(databases, query: ConjunctiveQuery, cache_dir=None) -> List[int]:
     """Exact resilience of each probe database, through the engine.
 
-    Imported lazily: the solver stack pulls in the planner and batch
-    machinery, and :mod:`repro.ijp` must stay importable on its own.
+    Imported lazily: the solver stack pulls in the batch machinery,
+    and :mod:`repro.ijp` must stay importable on its own.
     """
     if cache_dir is not None:
         from repro.core.analyzer import solve_batch

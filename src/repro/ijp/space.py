@@ -26,10 +26,10 @@ Bell recurrence (:mod:`repro.ijp.rgs`).  Condition 4 is *not* monotone
 (a later fact can restore exogenous subvector symmetry), so it is only
 ever checked on leaves.  Condition 5 — the Figure 8 "or-property" —
 needs four resilience probes per surviving pair and is batched through
-:func:`repro.core.analyzer.solve_batch`, so the planner, bitset
-kernel, columnar join, and content-hash result cache from the engine
-PRs all apply, and the unmodified-``D`` probe is shared by every pair
-of the same candidate database.
+:func:`repro.core.analyzer.solve_batch`, so the bitset kernel,
+columnar join, and content-hash result cache all apply, and the
+unmodified-``D`` probe is shared by every pair of the same candidate
+database.
 
 The screen is *sound*, never complete: it only discards candidates a
 Definition 48 condition provably rules out, so the pruned search finds
@@ -521,7 +521,7 @@ def certify_candidates(
     that pass — the would-be certificates, a tiny fraction — are then
     confirmed through :func:`~repro.core.analyzer.solve_batch`, so each
     emitted certificate's four probe values (``D``, ``D-a``, ``D-b``,
-    ``D-ab``) come from the engine front door with planner, kernel,
+    ``D-ab``) come from the engine front door with dispatch, kernel,
     and — given ``cache_dir`` — content-hash caching applied (the
     unmodified-``D`` probe dedupes across a database's pairs by
     construction).  Returns at most one certificate per database (the

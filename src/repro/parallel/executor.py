@@ -76,7 +76,6 @@ def run_shard(shard: Shard) -> ShardOutcome:
     """
     # Imported here (not at module top) to keep worker start-up lean and
     # to avoid an import cycle through repro.resilience.solver.
-    from repro.planner import plan_instance, planner_enabled, use_plan
     from repro.resilience.exact import _bnb_component, _ilp_component
     from repro.resilience.solver import solve
 
@@ -104,53 +103,34 @@ def run_shard(shard: Shard) -> ShardOutcome:
         # task — the same delegation solve() itself applies, done here
         # too so the structure prefetch keys match the solve.
         weighted = task.weighted and task.database.has_weighted_costs()
-        # The plan is recomputed from the task's content — plans are
-        # pure functions of it, so every worker (and the serial
-        # fallback) lands on the same plan without pickling one.  It
-        # must be installed *before* the structure prefetch: the
-        # prefetch is where the plan's join/kernel choices execute.
-        plan = (
-            plan_instance(
+        if task.method is None and _exact_dispatch(task.query, weighted):
+            _, misses_before, _ = witness_cache_info()
+            ws = witness_structure(
+                task.database, task.query, index=index, weighted=weighted
+            )
+            _, misses_after, _ = witness_cache_info()
+            if misses_after > misses_before:
+                telemetry.structures += 1
+                telemetry.reductions.merge(ws.stats)
+            outcomes[task.task_id] = solve(
                 task.database,
                 task.query,
+                structure=ws,
+                index=index,
                 mode=task.mode,
                 budget=task.budget,
                 weighted=weighted,
             )
-            if planner_enabled(task.planner)
-            else None
-        )
-        with use_plan(plan):
-            if task.method is None and _exact_dispatch(task.query, weighted):
-                _, misses_before, _ = witness_cache_info()
-                ws = witness_structure(
-                    task.database, task.query, index=index, weighted=weighted
-                )
-                _, misses_after, _ = witness_cache_info()
-                if misses_after > misses_before:
-                    telemetry.structures += 1
-                    telemetry.reductions.merge(ws.stats)
-                outcomes[task.task_id] = solve(
-                    task.database,
-                    task.query,
-                    structure=ws,
-                    index=index,
-                    mode=task.mode,
-                    budget=task.budget,
-                    weighted=weighted,
-                    planner=task.planner,
-                )
-            else:
-                outcomes[task.task_id] = solve(
-                    task.database,
-                    task.query,
-                    method=task.method,
-                    index=index,
-                    mode=task.mode,
-                    budget=task.budget,
-                    weighted=weighted,
-                    planner=task.planner,
-                )
+        else:
+            outcomes[task.task_id] = solve(
+                task.database,
+                task.query,
+                method=task.method,
+                index=index,
+                mode=task.mode,
+                budget=task.budget,
+                weighted=weighted,
+            )
     return ShardOutcome(shard.shard_id, outcomes, telemetry)
 
 

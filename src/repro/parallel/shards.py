@@ -32,6 +32,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from repro.db.database import Database
 from repro.query.cq import ConjunctiveQuery
+from repro.query.evaluation import witness_estimate
 from repro.resilience.types import Budget
 
 
@@ -59,26 +60,16 @@ class PairTask:
     mode: str = "exact"
     budget: Optional[Budget] = None
     weighted: bool = False
-    # The batch-level planner decision, resolved by the coordinator
-    # (True/False, or None for the worker to read REPRO_PLANNER); the
-    # worker recomputes the per-instance plan from the task content.
-    planner: Optional[bool] = None
-    # Planner-informed LPT weight (the instance's witness-count
-    # estimate); None falls back to the tuple count.
-    cost_hint: Optional[int] = None
 
     @property
     def cost_estimate(self) -> int:
-        """Relative cost proxy for LPT packing, floor 1.
+        """Relative cost proxy for LPT packing, floor 1: the witness
+        estimate (:func:`repro.query.evaluation.witness_estimate`).
 
-        The coordinator passes the planner's witness-count estimate as
-        ``cost_hint`` when planning is on — witness count tracks
-        structure-build and search cost far better than raw size; plain
-        instance size (tuples) is the planner-off fallback.
+        Witness count tracks structure-build and search cost far better
+        than raw instance size.
         """
-        if self.cost_hint is not None:
-            return max(self.cost_hint, 1)
-        return max(len(self.database), 1)
+        return max(witness_estimate(self.database, self.query), 1)
 
 
 @dataclass(frozen=True)

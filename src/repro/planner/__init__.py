@@ -1,101 +1,45 @@
-"""Per-instance cost-based planning of engine backends.
+"""A read-only report of the backend each engine layer picks.
 
-The engine keeps two or three interchangeable implementations of every
-layer it runs — witness enumeration (Section 2), kernel reduction,
-min-cut flow (Proposition 31), exact hitting-set search (Theorem 24),
-parallel sharding — historically selected by global environment
-variables and fixed size thresholds.  This package replaces that
-patchwork with a *planner*: :func:`plan_instance` extracts cheap
-features from one (query, database, mode, budget) pair
-(:mod:`repro.planner.features`), prices every backend with a
-calibrated cost model (:mod:`repro.planner.model`), and emits one
-frozen :class:`Plan` naming the backend for every layer.
-
-Three contracts make the planner safe to leave on by default:
-
-* **output-invisible** — every backend pair it chooses between is
-  answer-equivalent by construction (the differential suites pin it),
-  so a plan changes wall-clock, never values, certificates, or
-  intervals;
-* **deterministic** — plans are pure functions of (instance content,
-  mode, budget, weighted flag, model); repeated calls, worker
-  processes, and serial-vs-parallel batches all compute the same plan;
-* **overridable** — explicit kwargs beat environment variables beat
-  the planner beat the static defaults.  The ``REPRO_*_BACKEND``
-  variables keep working exactly as before; the planner only decides
-  where they are silent.  ``REPRO_PLANNER=off`` disables planning
-  wholesale.
-
-Plans travel through :func:`repro.resilience.solver.solve` via a
-context variable (:func:`use_plan` / :func:`active_plan`): the solver
-computes the plan once per solve and every layer consults it at its
-existing decision point — no plan plumbing through intermediate
-signatures, and worker processes recompute identical plans from the
-same content instead of pickling them.
+Every layer a solve passes through decides its own backend at its own
+decision point: witness enumeration (Section 2) in
+:func:`repro.query.columnar._use_columnar`, kernel reduction in
+:func:`repro.witness.structure._kernel_backend`, the Proposition 31
+min cut in :func:`repro.resilience.flownet.flow_backend`, the
+Theorem 24 exact hitting-set search in
+:func:`repro.resilience.exact.effective_backend`, and the parallel
+component split in :func:`repro.core.analyzer.split_instance`.
+:func:`plan_instance` calls exactly those functions for one instance
+and collects their answers in a :class:`Plan`, so ``repro planner
+explain`` reports what a solve would run without restating any
+threshold.  Nothing on the solve or serving path imports this package.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Dict, Optional
 
+from repro.core.analyzer import split_instance
 from repro.db.database import Database
+from repro.query.columnar import _use_columnar
 from repro.query.cq import ConjunctiveQuery
-from repro.planner.features import (
-    DEFAULT_MAX_EXACT_TUPLES,
-    PlanFeatures,
-    WITNESS_ESTIMATE_CAP,
-    extract_features,
-    is_large_instance,
-)
-from repro.planner.model import (
-    DEFAULT_MODEL,
-    MODEL_SCHEMA,
-    CostModel,
-    active_model,
-    calibrate,
-    clear_model_cache,
-    load_model,
-)
+from repro.planner.features import PlanFeatures, extract_features
+from repro.resilience.exact import effective_backend, solver_backend_override
+from repro.resilience.flownet import flow_backend
+from repro.witness.cache import peek_witness_structure
+from repro.witness.structure import _kernel_backend
 
-__all__ = [
-    "CostModel",
-    "DEFAULT_MAX_EXACT_TUPLES",
-    "DEFAULT_MODEL",
-    "MODEL_SCHEMA",
-    "Plan",
-    "PlanFeatures",
-    "WITNESS_ESTIMATE_CAP",
-    "active_model",
-    "active_plan",
-    "calibrate",
-    "clear_model_cache",
-    "extract_features",
-    "is_large_instance",
-    "load_model",
-    "plan_instance",
-    "planner_enabled",
-    "use_plan",
-]
+__all__ = ["Plan", "PlanFeatures", "extract_features", "plan_instance"]
 
 
 @dataclass(frozen=True)
 class Plan:
-    """One instance's backend decisions, every layer in one place.
+    """One instance's backends, every layer in one place.
 
-    ``solver`` is ``"bnb"``/``"ilp"`` when the post-kernelization shape
-    was known at planning time, else ``"auto"`` (defer to
-    :func:`repro.resilience.exact.choose_backend` once the structure
-    exists — the same rule the model reproduces, so the deferred and
-    planned decisions agree).  ``split`` is the shard-layer choice:
-    whether a parallel batch should decompose this instance into
-    per-component hitting-set tasks.  ``size_class`` mirrors the
-    serving tier's admission sizing (``"small"``/``"large"``), with
-    ``"out-of-core"`` for snapshot-backed instances
-    (:mod:`repro.storage`), which always join columnar.
+    ``solver`` is ``"bnb"``/``"ilp"`` when a witness structure for the
+    pair is already cached (or ``REPRO_SOLVER_BACKEND`` forces one),
+    else ``"auto"``: the exact solver is picked after kernelization.
+    ``split`` says whether a parallel exact batch shards the instance
+    per witness component.
     """
 
     join: str
@@ -103,124 +47,35 @@ class Plan:
     flow: str
     solver: str
     split: bool
-    size_class: str
-    model_version: str
     features: PlanFeatures
 
     def signature(self) -> str:
-        """A compact, stable label for stats counters and metrics."""
+        """A compact, stable label."""
         return (
             f"join={self.join},kernel={self.kernel},flow={self.flow},"
-            f"solver={self.solver},split={'yes' if self.split else 'no'},"
-            f"size={self.size_class}"
+            f"solver={self.solver},split={'yes' if self.split else 'no'}"
         )
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-ready form (``repro planner explain``, bench records)."""
-        return {
-            "join": self.join,
-            "kernel": self.kernel,
-            "flow": self.flow,
-            "solver": self.solver,
-            "split": self.split,
-            "size_class": self.size_class,
-            "model_version": self.model_version,
-            "features": self.features.as_dict(),
-        }
 
 
 def plan_instance(
-    database: Database,
-    query: ConjunctiveQuery,
-    mode: str = "exact",
-    budget=None,
-    weighted: bool = False,
-    model: Optional[CostModel] = None,
+    database: Database, query: ConjunctiveQuery, weighted: bool = False
 ) -> Plan:
-    """Compute the :class:`Plan` for one instance.
+    """The :class:`Plan` for one instance, read from each layer's rule.
 
-    Pure in the planner sense: same instance content + same model →
-    same plan, on every process and every call (the witness-cache peek
-    inside feature extraction only *adds* kernel features when a
-    structure is already cached, and the model reproduces the deferred
-    rule on exactly those features, so cache state never flips an
-    output-visible decision).
+    Never builds anything: the exact solver is read off a structure
+    only when one is already cached (a cache peek).
     """
-    if model is None:
-        model = active_model()
-    features = extract_features(
-        database, query, mode=mode, budget=budget, weighted=weighted
-    )
-    kernel_size = features.kernel_size
-    solver = (
-        "auto"
-        if kernel_size is None
-        else model.choose("solver", kernel_size)
-    )
-    if features.storage:
-        # Snapshot-backed instances: the data already lives as on-disk
-        # code matrices, so only the columnar join avoids a full decode
-        # pass, and the sizing label records the out-of-core regime.
-        join = "columnar"
-        size_class = "out-of-core"
+    features = extract_features(database, query, weighted=weighted)
+    ws = peek_witness_structure(database, query, weighted=features.weighted)
+    if ws is not None and ws.satisfied:
+        solver = effective_backend(ws)
     else:
-        join = model.choose("join", features.total_tuples)
-        size_class = "large" if is_large_instance(features) else "small"
+        solver = solver_backend_override() or "auto"
     return Plan(
-        join=join,
-        kernel=model.choose("kernel", features.witness_estimate),
-        flow=model.choose("flow", features.endogenous_tuples),
+        join="columnar" if _use_columnar(database) else "reference",
+        kernel=_kernel_backend(),
+        flow=flow_backend(),
         solver=solver,
-        split=model.choose("shard", features.endogenous_tuples) == "split",
-        size_class=size_class,
-        model_version=model.version,
+        split=split_instance(database),
         features=features,
-    )
-
-
-# ---------------------------------------------------------------------------
-# The active plan (consulted by the engine layers' decision points)
-# ---------------------------------------------------------------------------
-
-_ACTIVE_PLAN: ContextVar[Optional[Plan]] = ContextVar(
-    "repro_planner_active_plan", default=None
-)
-
-
-def active_plan() -> Optional[Plan]:
-    """The plan governing the current solve, if any.
-
-    Engine layers call this at their existing decision points; the
-    environment variables are checked *first* at every such point (env
-    beats planner), so an active plan only fills silence.
-    """
-    return _ACTIVE_PLAN.get()
-
-
-@contextmanager
-def use_plan(plan: Optional[Plan]):
-    """Install ``plan`` as the active plan for the enclosed solve."""
-    token = _ACTIVE_PLAN.set(plan)
-    try:
-        yield plan
-    finally:
-        _ACTIVE_PLAN.reset(token)
-
-
-def planner_enabled(explicit: Optional[bool] = None) -> bool:
-    """Is per-instance planning on?
-
-    ``explicit`` (a caller's kwarg, e.g. ``solve_batch(planner=True)``)
-    wins outright; otherwise ``REPRO_PLANNER`` decides (``off``/``0``/
-    ``false`` disable, anything else — including unset — enables).
-    """
-    if explicit is not None:
-        return bool(explicit)
-    raw = os.environ.get("REPRO_PLANNER", "on").strip().lower()
-    if raw in ("off", "0", "false", "no"):
-        return False
-    if raw in ("", "on", "1", "true", "yes"):
-        return True
-    raise ValueError(
-        f"REPRO_PLANNER={raw!r} (expected 'on' or 'off')"
     )

@@ -34,25 +34,21 @@ queries.
 Backend selection
 -----------------
 ``REPRO_JOIN_BACKEND`` chooses the enumeration backend for
-:func:`repro.query.evaluation.witness_tuple_sets`:
+:func:`repro.query.evaluation.witness_tuple_sets` and the witness
+structure build:
 
-* ``columnar`` (default) — use this module when the database has at
-  least ``REPRO_COLUMNAR_MIN_TUPLES`` tuples (default
-  :data:`MIN_TUPLES_DEFAULT`; tiny instances stay on the reference path
-  where numpy call overhead would dominate);
-* ``reference`` — always use the backtracking evaluator.
-
-When neither ``REPRO_JOIN_BACKEND`` nor ``REPRO_COLUMNAR_MIN_TUPLES``
-is set and a solve runs under a planner plan
-(:func:`repro.planner.active_plan`), the plan's ``join`` choice is
-used instead of the static threshold — its cost model encodes the same
-crossover by default, calibrated from the measured E18 layer costs.
-Environment variables always override the planner (precedence:
-explicit kwarg > env var > planner > static default).
+* ``columnar`` — always use this module, at every database size;
+* ``reference`` — always use the backtracking evaluator;
+* unset (the default) — use this module when the database is
+  snapshot-backed (:class:`repro.storage.StoredDatabase`: its data
+  already lives as on-disk code matrices, so only this join avoids a
+  full decode) or has at least :data:`MIN_TUPLES_DEFAULT` tuples; tiny
+  in-memory instances stay on the reference path, where numpy call
+  overhead would dominate.
 
 :func:`backend_counters` reports how often each path actually ran —
 ``columnar`` (vectorized), ``reference`` (disabled or below the size
-threshold), ``fallback`` (eligible but unsupported: an atom/relation
+rule), ``fallback`` (eligible but unsupported: an atom/relation
 arity mismatch).  Join frontiers larger than
 :func:`frontier_chunk_rows` no longer fall back — the enumeration
 streams bounded blocks (at most that many rows live at once) and
@@ -113,37 +109,19 @@ def join_backend() -> str:
     return backend
 
 
-def min_columnar_tuples() -> int:
-    """The size threshold selected by ``REPRO_COLUMNAR_MIN_TUPLES``."""
-    raw = os.environ.get("REPRO_COLUMNAR_MIN_TUPLES")
-    if raw is None:
-        return MIN_TUPLES_DEFAULT
-    try:
-        return int(raw)
-    except ValueError:
-        return MIN_TUPLES_DEFAULT
-
-
 def _use_columnar(database: Database) -> bool:
     """The enumeration gate shared by both ``try_*`` dispatchers.
 
-    Environment variables win when present (either of them pins the
-    historical semantics: explicit backend plus size threshold);
-    otherwise an active planner plan decides directly — its cost model
-    already priced the per-tuple costs against the fixed numpy
-    overhead, so no second threshold is applied on top.  With neither,
-    the static default gate runs unchanged.
+    A set ``REPRO_JOIN_BACKEND`` forces its backend at every size;
+    otherwise snapshot-backed databases and databases of at least
+    :data:`MIN_TUPLES_DEFAULT` tuples join columnar.
     """
-    env_backend = os.environ.get("REPRO_JOIN_BACKEND")
-    if env_backend is None and os.environ.get("REPRO_COLUMNAR_MIN_TUPLES") is None:
-        # Imported lazily: repro.planner reaches back into the solver
-        # stack for feature extraction, so the import stays one-way.
-        from repro.planner import active_plan
-
-        plan = active_plan()
-        if plan is not None:
-            return plan.join == "columnar"
-    return join_backend() == "columnar" and len(database) >= min_columnar_tuples()
+    if "REPRO_JOIN_BACKEND" in os.environ:
+        return join_backend() == "columnar"
+    return (
+        getattr(database, "storage_snapshot", None) is not None
+        or len(database) >= MIN_TUPLES_DEFAULT
+    )
 
 
 def backend_counters() -> Dict[str, int]:
@@ -731,9 +709,8 @@ def try_witness_tuple_sets(
 ) -> Optional[List[FrozenSet[DBTuple]]]:
     """The backend dispatcher used by ``witness_tuple_sets``.
 
-    Returns the columnar result when the backend is enabled — by the
-    environment gate or by an active planner plan (see
-    :func:`_use_columnar`) — and the instance is supported; ``None``
+    Returns the columnar result when :func:`_use_columnar` selects the
+    vectorized join and the instance is supported; ``None``
     otherwise (the caller runs the reference evaluator).  Every
     outcome is tallied in :func:`backend_counters`.
     """

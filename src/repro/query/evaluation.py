@@ -163,6 +163,31 @@ def _order_atoms(query: ConjunctiveQuery, bound=()) -> List[Atom]:
     return ordered
 
 
+#: Cap on :func:`witness_estimate`: the product of relation sizes stops
+#: telling instances apart long before it overflows anything.
+WITNESS_ESTIMATE_CAP = 10**9
+
+
+def witness_estimate(database: Database, query: ConjunctiveQuery) -> int:
+    """Upper estimate of the witness count: product of atom relation sizes.
+
+    Every witness of ``D |= q`` picks one fact per atom (Section 2), so
+    the count is at most ``prod_a |R_a|`` over the query's atoms.  Reads
+    only relation cardinalities (no enumeration, no decode of
+    snapshot-backed data) and is capped at :data:`WITNESS_ESTIMATE_CAP`.
+    Parallel batches weigh whole-pair tasks by it for LPT packing.
+    """
+    estimate = 1
+    for atom in query.atoms:
+        rel = database.relations.get(atom.relation)
+        estimate *= len(rel) if rel is not None else 0
+        if estimate == 0:
+            return 0
+        if estimate >= WITNESS_ESTIMATE_CAP:
+            return WITNESS_ESTIMATE_CAP
+    return estimate
+
+
 def witnesses(
     database: Database,
     query: ConjunctiveQuery,

@@ -52,21 +52,13 @@ import networkx as nx
 
 
 def flow_backend() -> str:
-    """The min-cut backend: ``REPRO_FLOW_BACKEND``, planner plan, or
-    the ``csgraph`` default.
+    """The min-cut backend: ``REPRO_FLOW_BACKEND`` or ``csgraph``.
 
-    The environment variable wins when set; otherwise a solve running
-    under a planner plan (:func:`repro.planner.active_plan`) uses the
-    plan's ``flow`` choice.  Both backends return min cuts of equal
-    value (the certificates may differ — see the module docstring), so
-    the choice is value-invisible either way.
+    Both backends return min cuts of equal value (the certificates may
+    differ — see the module docstring), so the choice is
+    value-invisible.
     """
-    backend = os.environ.get("REPRO_FLOW_BACKEND")
-    if backend is None:
-        from repro.planner import active_plan
-
-        plan = active_plan()
-        backend = plan.flow if plan is not None else "csgraph"
+    backend = os.environ.get("REPRO_FLOW_BACKEND", "csgraph")
     if backend not in ("csgraph", "networkx"):
         raise ValueError(
             f"REPRO_FLOW_BACKEND={backend!r} (expected 'csgraph' or 'networkx')"

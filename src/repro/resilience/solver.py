@@ -223,7 +223,6 @@ def solve(
     budget=None,
     on_interval=None,
     weighted: bool = False,
-    planner: Optional[bool] = None,
 ):
     """Compute resilience, dispatching to the appropriate algorithm.
 
@@ -263,25 +262,11 @@ def solve(
     costs are all 1 delegates to the unweighted path — results are
     bit-identical to ``weighted=False``, including methods and
     certificates.
-
-    ``planner`` controls per-instance backend planning
-    (:mod:`repro.planner`): ``None`` (default) follows
-    ``REPRO_PLANNER`` (on unless set to ``off``), ``True``/``False``
-    force it.  When planning is on, a :class:`~repro.planner.Plan` is
-    computed from the instance's features and installed for the
-    duration of the solve; every engine layer whose backend is not
-    pinned by its environment variable then follows the plan.  Plans
-    are output-invisible — values, certificates, and intervals are
-    bit-identical to the same solve with planning off.
     """
     if mode not in ("exact", "approx", "anytime"):
         raise ValueError(f"unknown mode {mode!r}")
     if on_interval is not None and mode == "exact":
         raise ValueError("on_interval requires a bounded mode")
-    # Imported lazily: repro.planner's feature extraction reaches back
-    # into this module (dispatch_plan), so the import stays one-way.
-    from repro.planner import plan_instance, planner_enabled, use_plan
-
     # All-unit databases delegate to the unweighted path: same
     # algorithms, same results, bit for bit.
     effective = weighted and database.has_weighted_costs()
@@ -289,40 +274,6 @@ def solve(
         # A cost-oblivious prebuilt structure may have kernelized away
         # exactly the cheap tuples a weighted optimum needs; rebuild.
         structure = None
-    plan = (
-        plan_instance(
-            database, query, mode=mode, budget=budget, weighted=effective
-        )
-        if planner_enabled(planner)
-        else None
-    )
-    with use_plan(plan):
-        return _solve_planned(
-            database,
-            query,
-            method=method,
-            structure=structure,
-            index=index,
-            mode=mode,
-            budget=budget,
-            on_interval=on_interval,
-            effective=effective,
-        )
-
-
-def _solve_planned(
-    database: Database,
-    query: ConjunctiveQuery,
-    method: Optional[str],
-    structure: Optional[WitnessStructure],
-    index: Optional[DatabaseIndex],
-    mode: str,
-    budget,
-    on_interval,
-    effective: bool,
-):
-    """The body of :func:`solve`, run under the (possibly ``None``)
-    active plan installed by its caller."""
     if mode != "exact":
         if method is not None:
             raise ValueError("method forcing requires mode='exact'")

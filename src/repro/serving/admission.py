@@ -31,18 +31,14 @@ import os
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.planner import (
-    DEFAULT_MAX_EXACT_TUPLES,
-    extract_features,
-    is_large_instance,
-)
+from repro.db.database import endogenous_tuple_count
 from repro.resilience.types import Budget
 from repro.serving.wire import SolveRequest
 
 # Defaults; overridable per-server or via REPRO_SERVING_* (from_env).
-# The sizing threshold itself lives in repro.planner.features — one
-# number shared by admission and the planner's size classifier, so a
-# request this tier reroutes is exactly one the planner calls "large".
+# Instances with more endogenous tuples than this are too big for the
+# interactive exact tier.
+DEFAULT_MAX_EXACT_TUPLES = 2000
 DEFAULT_REROUTE_TIME_LIMIT = 2.0
 DEFAULT_REROUTE_NODE_LIMIT = 200_000
 DEFAULT_MAX_CONCURRENT_SOLVES = 32
@@ -88,33 +84,39 @@ class AdmissionPolicy:
         ``REPRO_SERVING_REROUTE_NODE_LIMIT``,
         ``REPRO_SERVING_MAX_CONCURRENT`` and
         ``REPRO_SERVING_MAX_BATCH_ITEMS``; unset variables keep the
-        defaults.
+        defaults.  A malformed value raises ``ValueError`` naming the
+        variable and its value.
         """
         env = os.environ if env is None else env
 
-        def _int(name: str, default: int) -> int:
+        def _parse(name: str, default, kind):
             raw = env.get(name)
-            return default if raw in (None, "") else int(raw)
-
-        def _float(name: str, default: float) -> float:
-            raw = env.get(name)
-            return default if raw in (None, "") else float(raw)
+            if raw in (None, ""):
+                return default
+            try:
+                return kind(raw)
+            except ValueError:
+                raise ValueError(
+                    f"{name}={raw!r} is not a valid {kind.__name__}"
+                ) from None
 
         return cls(
-            max_exact_tuples=_int(
-                "REPRO_SERVING_MAX_EXACT_TUPLES", DEFAULT_MAX_EXACT_TUPLES
+            max_exact_tuples=_parse(
+                "REPRO_SERVING_MAX_EXACT_TUPLES", DEFAULT_MAX_EXACT_TUPLES, int
             ),
-            reroute_time_limit=_float(
-                "REPRO_SERVING_REROUTE_TIME_LIMIT", DEFAULT_REROUTE_TIME_LIMIT
+            reroute_time_limit=_parse(
+                "REPRO_SERVING_REROUTE_TIME_LIMIT",
+                DEFAULT_REROUTE_TIME_LIMIT,
+                float,
             ),
-            reroute_node_limit=_int(
-                "REPRO_SERVING_REROUTE_NODE_LIMIT", DEFAULT_REROUTE_NODE_LIMIT
+            reroute_node_limit=_parse(
+                "REPRO_SERVING_REROUTE_NODE_LIMIT", DEFAULT_REROUTE_NODE_LIMIT, int
             ),
-            max_concurrent_solves=_int(
-                "REPRO_SERVING_MAX_CONCURRENT", DEFAULT_MAX_CONCURRENT_SOLVES
+            max_concurrent_solves=_parse(
+                "REPRO_SERVING_MAX_CONCURRENT", DEFAULT_MAX_CONCURRENT_SOLVES, int
             ),
-            max_batch_items=_int(
-                "REPRO_SERVING_MAX_BATCH_ITEMS", DEFAULT_MAX_BATCH_ITEMS
+            max_batch_items=_parse(
+                "REPRO_SERVING_MAX_BATCH_ITEMS", DEFAULT_MAX_BATCH_ITEMS, int
             ),
         )
 
@@ -131,23 +133,13 @@ class AdmissionPolicy:
 
         Exogenous tuples are free (they cannot be deleted, so they add
         no hitting-set variables); only endogenous tuples grow the
-        search space the exact solvers explore.  Computed through
-        :func:`repro.planner.extract_features` — the same feature (and
-        the same ``max_exact_tuples`` default) the planner's
-        ``size_class`` uses, so admission and planning can never
-        disagree about what "large" means.
+        search space the exact solvers explore.
         """
-        return self.features(request).endogenous_tuples
+        return endogenous_tuple_count(request.database)
 
-    def features(self, request: SolveRequest):
-        """The request's :class:`~repro.planner.PlanFeatures`."""
-        return extract_features(
-            request.database,
-            request.query,
-            mode=request.mode,
-            budget=request.budget,
-            weighted=request.weighted,
-        )
+    def oversized(self, request: SolveRequest) -> bool:
+        """Too big for the interactive exact tier?"""
+        return self.instance_size(request) > self.max_exact_tuples
 
     def admit(self, request: SolveRequest, active_solves: int) -> AdmissionDecision:
         """Decide how (whether) to run ``request``.
@@ -164,12 +156,8 @@ class AdmissionPolicy:
                     f"limit {self.max_concurrent_solves})"
                 ),
             )
-        features = self.features(request)
-        size = features.endogenous_tuples
-        oversized = is_large_instance(
-            features, max_exact_tuples=self.max_exact_tuples
-        )
-        if not oversized:
+        size = self.instance_size(request)
+        if size <= self.max_exact_tuples:
             return AdmissionDecision(
                 accepted=True,
                 mode=request.mode,

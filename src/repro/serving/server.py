@@ -107,9 +107,7 @@ class ServerMetrics:
 
     ``active_solves`` counts solves actually *running* (coalesced
     followers and cache hits run nothing, so they never touch it);
-    it is the gauge admission control gates on.  ``plans`` histograms
-    the planner's chosen backend combinations by plan signature, so an
-    operator can see *how* the server is solving, not just how often.
+    it is the gauge admission control gates on.
     """
 
     _COUNTERS = (
@@ -129,17 +127,11 @@ class ServerMetrics:
     def __init__(self):
         self._lock = threading.Lock()
         self._counts = {name: 0 for name in self._COUNTERS}
-        self._plans: Dict[str, int] = {}
         self._active = 0
 
     def incr(self, name: str, n: int = 1) -> None:
         with self._lock:
             self._counts[name] += n
-
-    def record_plan(self, signature: str, n: int = 1) -> None:
-        """Count one (or ``n``) solve(s) run under a plan signature."""
-        with self._lock:
-            self._plans[signature] = self._plans.get(signature, 0) + n
 
     def solve_started(self) -> None:
         with self._lock:
@@ -158,7 +150,6 @@ class ServerMetrics:
         with self._lock:
             out: Dict[str, Any] = dict(self._counts)
             out["active_solves"] = self._active
-            out["plans"] = dict(sorted(self._plans.items()))
             return out
 
 
@@ -397,18 +388,9 @@ class ServingApp:
                          weighted=weighted)
             for db, q in pairs
         ]
-        from repro.planner import is_large_instance
-
-        oversized = [
-            i for i, r in enumerate(requests)
-            if is_large_instance(
-                self.policy.features(r),
-                max_exact_tuples=self.policy.max_exact_tuples,
-            )
-        ]
         rerouted = False
         tier = "interactive"
-        if oversized and mode != "anytime":
+        if mode != "anytime" and any(map(self.policy.oversized, requests)):
             mode, method = "anytime", None
             budget = self.policy.reroute_budget
             rerouted, tier = True, "batch"
@@ -431,8 +413,6 @@ class ServingApp:
         finally:
             self.metrics.solve_finished()
         stats = batch.stats
-        for signature, count in sorted(stats.plans.items()):
-            self.metrics.record_plan(signature, count)
         return {
             "wire_schema": WIRE_SCHEMA,
             "results": [encode_result(r) for r in batch.results],
@@ -447,7 +427,6 @@ class ServingApp:
                 "cache_hits": stats.cache_hits,
                 "cache_misses": stats.cache_misses,
                 "time_total": stats.time_total,
-                "plans": dict(sorted(stats.plans.items())),
             },
         }
 
@@ -469,17 +448,6 @@ class ServingApp:
         decision: AdmissionDecision,
         on_interval=None,
     ):
-        from repro.planner import plan_instance, planner_enabled
-
-        if planner_enabled(None):
-            plan = plan_instance(
-                request.database,
-                request.query,
-                mode=decision.mode,
-                budget=decision.budget,
-                weighted=request.weighted,
-            )
-            self.metrics.record_plan(plan.signature())
         self.metrics.solve_started()
         try:
             kwargs: Dict[str, Any] = {

@@ -107,9 +107,8 @@ def peek_witness_structure(
 ) -> Optional[WitnessStructure]:
     """The cached structure for a pair, or ``None`` — never builds.
 
-    The planner's feature extraction
-    (:func:`repro.planner.features.extract_features`) reads
-    post-kernelization shape through this: a peek must stay cheap and
+    ``repro planner explain`` (:func:`repro.planner.plan_instance`)
+    reads the exact-solver choice through this: a peek must stay cheap and
     side-effect-free, so it does not count as a hit or miss (the
     hit/miss deltas are how the batch engine attributes structure
     builds) and does not refresh LRU recency.

@@ -74,7 +74,7 @@ from repro.query.evaluation import (
 
 
 def _kernel_backend() -> str:
-    """The kernelization backend: env var, planner plan, or default.
+    """The kernelization backend: ``REPRO_KERNEL_BACKEND`` or ``bitset``.
 
     ``bitset`` (default) runs the reduction fixpoint on a padded numpy
     id matrix with Python-int bitsets over witness rows; ``reference``
@@ -82,18 +82,11 @@ def _kernel_backend() -> str:
     structures (sets, order, forced ids, statistics) — the property
     suite in ``tests/test_bitset_kernel.py`` enforces it.
 
-    ``REPRO_KERNEL_BACKEND`` wins when set; otherwise a solve running
-    under a planner plan (:func:`repro.planner.active_plan`) uses the
-    plan's ``kernel`` choice.  The small-input guards below
-    (:data:`_BITSET_MIN_SETS`, the width cap) apply in every case —
-    they are output-invisible fast paths, not backend selections.
+    The small-input guards below (:data:`_BITSET_MIN_SETS`, the width
+    cap) apply in every case — they are output-invisible fast paths,
+    not backend selections.
     """
-    backend = os.environ.get("REPRO_KERNEL_BACKEND")
-    if backend is None:
-        from repro.planner import active_plan
-
-        plan = active_plan()
-        backend = plan.kernel if plan is not None else "bitset"
+    backend = os.environ.get("REPRO_KERNEL_BACKEND", "bitset")
     if backend not in ("bitset", "reference"):
         raise ValueError(
             f"REPRO_KERNEL_BACKEND={backend!r} (expected 'bitset' or 'reference')"

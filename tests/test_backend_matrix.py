@@ -1,0 +1,253 @@
+"""Backend equivalence: the default solve against every forced backend.
+
+Each engine layer keeps two interchangeable implementations — the
+witness join (Section 2), the kernel reduction, the Proposition 31 min
+cut, and the Theorem 24 exact hitting-set search — and picks one by
+its own rule unless a ``REPRO_*_BACKEND`` variable forces it.  Backend
+choice may move time, never answers:
+
+* a differential matrix (8 query families x 13 seeds, unit and skewed
+  costs, all three solving tiers) compares the default ``solve()``
+  with all 16 forced backend combinations — values and certified
+  intervals agree for every combination (distinct backends may witness
+  distinct optimal sets), and the combination
+  :func:`repro.planner.plan_instance` names after the solve is
+  bit-identical to the default, which keeps ``repro planner explain``
+  truthful;
+* serial and parallel batches return bit-identical results;
+* the decisions each layer now makes at its own decision point — the
+  component split on endogenous tuples, the columnar join for
+  snapshot-backed databases, and the LPT weight — are pinned directly.
+"""
+
+import itertools
+
+import pytest
+
+import repro.parallel
+from repro.core import solve_batch
+from repro.db import Database
+from repro.parallel import PairTask
+from repro.planner import plan_instance
+from repro.query.columnar import backend_counters, reset_backend_counters
+from repro.query.evaluation import WITNESS_ESTIMATE_CAP, witness_estimate
+from repro.query.zoo import ALL_QUERIES, q_chain
+from repro.resilience.solver import solve
+from repro.resilience.types import Budget
+from repro.witness import clear_witness_cache
+from repro.workloads import assign_skewed_costs, random_database_for_queries
+
+# Eight query families spanning the dichotomy: NP-hard self-join
+# queries (chain, a_chain, sj1_rats, 3chain), flow-handled PTIME
+# queries (conf, perm, Aperm), and the linear q_lin with a ternary
+# relation.  Each family gets its own compatible random database.
+FAMILIES = (
+    "q_chain",
+    "q_a_chain",
+    "q_sj1_rats",
+    "q_conf",
+    "q_3chain",
+    "q_perm",
+    "q_Aperm",
+    "q_lin",
+)
+SEEDS = range(13)
+MODES = ("exact", "approx", "anytime")
+
+# The full cross product of the two-way choices at each layer.
+FORCED_COMBOS = tuple(
+    itertools.product(
+        ("columnar", "reference"),  # join
+        ("bitset", "reference"),    # kernel
+        ("csgraph", "networkx"),    # flow
+        ("bnb", "ilp"),             # solver
+    )
+)
+
+# Deterministic anytime budget: node limits are exact replay, wall
+# clocks are not.
+ANYTIME_BUDGET = Budget(node_limit=64)
+
+
+def _instance(family, seed, skewed):
+    """One matrix instance: a random database for the family's query."""
+    query = ALL_QUERIES[family]
+    db = random_database_for_queries(
+        [query], domain_size=5, density=0.4, seed=1000 * skewed + seed
+    )
+    if skewed:
+        assign_skewed_costs(db, seed=seed + 1)
+    return db, query
+
+
+def _mode_of(family, seed, skewed):
+    """Deterministic mode assignment covering all (family, mode) cells."""
+    return MODES[(FAMILIES.index(family) + seed + skewed) % len(MODES)]
+
+
+def _force(monkeypatch, join, kernel, flow, solver_backend):
+    """Force one backend combination."""
+    monkeypatch.setenv("REPRO_JOIN_BACKEND", join)
+    monkeypatch.setenv("REPRO_KERNEL_BACKEND", kernel)
+    monkeypatch.setenv("REPRO_FLOW_BACKEND", flow)
+    monkeypatch.setenv("REPRO_SOLVER_BACKEND", solver_backend)
+
+
+@pytest.fixture(autouse=True)
+def _unforced(monkeypatch):
+    """Every test starts from the layers' own rules."""
+    for layer in ("JOIN", "KERNEL", "FLOW", "SOLVER"):
+        monkeypatch.delenv(f"REPRO_{layer}_BACKEND", raising=False)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("family", FAMILIES)
+class TestDifferentialMatrix:
+    """Default answers == forced-backend answers, instance by instance."""
+
+    @pytest.mark.parametrize("skewed", (0, 1), ids=("unit", "skewed"))
+    def test_default_matches_every_forced_combination(
+        self, family, seed, skewed, monkeypatch
+    ):
+        db, query = _instance(family, seed, skewed)
+        mode = _mode_of(family, seed, skewed)
+        weighted = bool(skewed)
+        budget = ANYTIME_BUDGET if mode == "anytime" else None
+
+        clear_witness_cache()
+        default = solve(db, query, mode=mode, budget=budget, weighted=weighted)
+        # The cache is now warm, so the plan reads the exact solver the
+        # default run resolved to (or "auto" when none ran).
+        plan = plan_instance(db, query, weighted=weighted)
+        chosen = (plan.join, plan.kernel, plan.flow, plan.solver)
+
+        for combo in FORCED_COMBOS:
+            with monkeypatch.context() as forced_env:
+                _force(forced_env, *combo)
+                clear_witness_cache()
+                forced = solve(
+                    db, query, mode=mode, budget=budget, weighted=weighted
+                )
+            # Output-invisibility: every combination returns the same
+            # value, and in bounded modes the same certified interval.
+            assert forced.value == default.value, (combo, plan.signature())
+            if mode != "exact":
+                assert forced.interval == default.interval, (
+                    combo,
+                    plan.signature(),
+                )
+            if combo == chosen:
+                # Forcing the combination the plan names reproduces the
+                # default bit for bit: value, witness set, method.
+                assert forced == default, plan.signature()
+
+    def test_plans_deterministic_across_repeated_calls(self, family, seed):
+        db, query = _instance(family, seed, skewed=0)
+        mode = _mode_of(family, seed, 0)
+        clear_witness_cache()
+        cold_a = plan_instance(db, query)
+        cold_b = plan_instance(db, query)
+        assert cold_a == cold_b
+        solve(db, query, mode=mode, budget=ANYTIME_BUDGET if mode == "anytime" else None)
+        warm_a = plan_instance(db, query)
+        warm_b = plan_instance(db, query)
+        assert warm_a == warm_b
+        # A warm cache may name the exact solver but never flips
+        # another layer's pick.
+        assert (cold_a.join, cold_a.kernel, cold_a.flow, cold_a.split) == (
+            warm_a.join,
+            warm_a.kernel,
+            warm_a.flow,
+            warm_a.split,
+        )
+
+
+class TestBatchDeterminism:
+    def test_workers_1_and_2_agree_bit_identically(self):
+        pairs = [
+            _instance(family, seed=17 + i, skewed=i % 2)
+            for i, family in enumerate(FAMILIES)
+        ]
+        clear_witness_cache()
+        serial = solve_batch(pairs, workers=1)
+        clear_witness_cache()
+        parallel = solve_batch(pairs, workers=2)
+        assert list(serial.results) == list(parallel.results)
+
+
+# ---------------------------------------------------------------------------
+# Decisions each layer makes at its own decision point
+# ---------------------------------------------------------------------------
+
+
+def _split_tasks(monkeypatch, db, query):
+    """The task list a ``workers=2`` exact batch over ``db`` builds."""
+    seen = []
+    original = repro.parallel.group_by_database
+
+    def spy(tasks):
+        seen.extend(tasks)
+        return original(tasks)
+
+    monkeypatch.setattr(repro.parallel, "group_by_database", spy)
+    clear_witness_cache()
+    batch = solve_batch([(db, query)], workers=2)
+    clear_witness_cache()
+    assert batch.values() == [solve(db, query).value]
+    return seen
+
+
+def _chain_db(endogenous, exogenous):
+    """``endogenous`` R facts in 3-tuple paths (one hitting-set
+    component each) plus ``exogenous`` facts of an unqueried relation."""
+    db = Database()
+    db.declare("X", 2, exogenous=True)
+    for i in range(exogenous):
+        db.add("X", i, i)
+    for i in range(endogenous):
+        base = 4 * (i // 3)
+        db.add("R", base + i % 3, base + i % 3 + 1)
+    return db
+
+
+class TestLayerDecisions:
+    def test_split_counts_endogenous_tuples(self, monkeypatch):
+        """A parallel exact batch splits an instance into component
+        tasks by its endogenous tuple count, not its total size."""
+        mostly_exogenous = _chain_db(endogenous=300, exogenous=200)
+        assert len(mostly_exogenous) >= 400
+        tasks = _split_tasks(monkeypatch, mostly_exogenous, q_chain)
+        assert any(isinstance(t, PairTask) for t in tasks)
+
+        large = _chain_db(endogenous=402, exogenous=0)
+        tasks = _split_tasks(monkeypatch, large, q_chain)
+        assert not any(isinstance(t, PairTask) for t in tasks)
+
+    def test_small_snapshot_joins_columnar(self, tmp_path):
+        """Snapshot-backed databases join columnar at any size."""
+        from repro.storage import ingest_database, open_stored_database
+
+        db, query = _instance("q_chain", seed=3, skewed=0)
+        assert len(db) < 128
+        stored = open_stored_database(ingest_database(db, tmp_path / "snap"))
+        clear_witness_cache()
+        reset_backend_counters()
+        result = solve(stored, query)
+        counters = backend_counters()
+        assert counters["columnar"] >= 1
+        assert counters["reference"] == 0
+        assert result.value == solve(db, query).value
+
+    def test_pair_task_weight_is_the_witness_estimate(self):
+        """LPT packing weighs a whole-pair task by the product of its
+        query's atom relation sizes (floor 1)."""
+        db, query = _instance("q_a_chain", seed=4, skewed=0)
+        task = PairTask(0, db, query)
+        sizes = [len(db.relations[a.relation]) for a in query.atoms]
+        assert task.cost_estimate == witness_estimate(db, query)
+        assert task.cost_estimate == min(
+            max(1, sizes[0] * sizes[1] * sizes[2]), WITNESS_ESTIMATE_CAP
+        )
+        empty = Database()
+        empty.declare("R", 2)
+        assert PairTask(1, empty, q_chain).cost_estimate == 1

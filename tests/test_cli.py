@@ -171,3 +171,13 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "serving resilience on http://127.0.0.1:" in out
         assert '"status": "ok"' in out
+
+    def test_serve_malformed_env_is_an_input_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_SERVING_MAX_EXACT_TUPLES", "2k")
+        assert main(["serve", "--check", "--port", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("repro: error: ")
+        assert "REPRO_SERVING_MAX_EXACT_TUPLES='2k'" in lines[0]

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.query.columnar import (
+    MIN_TUPLES_DEFAULT,
     ColumnarDatabase,
     backend_counters,
     columnar_valuations,
@@ -227,9 +228,7 @@ class TestStructureAndSolveEquivalence:
         database, query = _random_instance(seed)
         built = {}
         for backend in ("reference", "columnar"):
-            with _env(
-                REPRO_JOIN_BACKEND=backend, REPRO_COLUMNAR_MIN_TUPLES="0"
-            ):
+            with _env(REPRO_JOIN_BACKEND=backend):
                 try:
                     built[backend] = WitnessStructure.build(database, query)
                 except Exception as exc:  # UnbreakableQueryError etc.
@@ -268,10 +267,7 @@ class TestStructureAndSolveEquivalence:
             database, query = _random_instance(seed)
             answers = {}
             for backend in ("reference", "columnar"):
-                with _env(
-                    REPRO_JOIN_BACKEND=backend,
-                    REPRO_COLUMNAR_MIN_TUPLES="0",
-                ):
+                with _env(REPRO_JOIN_BACKEND=backend):
                     clear_witness_cache()
                     try:
                         result = solve(database, query, mode=mode)
@@ -312,12 +308,27 @@ class TestBackendDispatch:
             query, domain_size=4, density=0.5, seed=0
         )
         reset_backend_counters()
-        with _env(REPRO_JOIN_BACKEND=None, REPRO_COLUMNAR_MIN_TUPLES=None):
+        with _env(REPRO_JOIN_BACKEND=None):
             assert try_witness_tuple_sets(database, query) is None
         counters = backend_counters()
         assert counters["reference"] == 1
         assert counters["fallback"] == 0
         assert counters["columnar"] == 0
+
+    def test_default_rule_joins_columnar_from_min_tuples(self):
+        """With the variable unset, an in-memory database joins columnar
+        exactly from :data:`MIN_TUPLES_DEFAULT` tuples."""
+        from repro.db.database import Database
+
+        query = ALL_QUERIES["q_chain"]
+        for size, expected in ((MIN_TUPLES_DEFAULT - 1, "reference"),
+                               (MIN_TUPLES_DEFAULT, "columnar")):
+            database = Database()
+            database.add_all("R", [(i, i + 1) for i in range(size)])
+            reset_backend_counters()
+            with _env(REPRO_JOIN_BACKEND=None):
+                try_witness_tuple_sets(database, query)
+            assert backend_counters()[expected] == 1, size
 
     def test_forced_columnar_counts_a_columnar_run(self):
         query = ALL_QUERIES["q_chain"]
@@ -325,7 +336,7 @@ class TestBackendDispatch:
             query, domain_size=4, density=0.5, seed=0
         )
         reset_backend_counters()
-        with _env(REPRO_JOIN_BACKEND=None, REPRO_COLUMNAR_MIN_TUPLES="0"):
+        with _env(REPRO_JOIN_BACKEND="columnar"):
             assert try_witness_tuple_sets(database, query) is not None
         assert backend_counters()["columnar"] == 1
 
@@ -335,7 +346,7 @@ class TestBackendDispatch:
             query, domain_size=4, density=0.5, seed=0
         )
         reset_backend_counters()
-        with _env(REPRO_JOIN_BACKEND="reference", REPRO_COLUMNAR_MIN_TUPLES="0"):
+        with _env(REPRO_JOIN_BACKEND="reference"):
             assert try_witness_tuple_sets(database, query) is None
         assert backend_counters()["reference"] == 1
 
@@ -350,7 +361,7 @@ class TestBackendDispatch:
         database.declare("R", 1)
         database.add("R", 1)
         reset_backend_counters()
-        with _env(REPRO_JOIN_BACKEND=None, REPRO_COLUMNAR_MIN_TUPLES="0"):
+        with _env(REPRO_JOIN_BACKEND="columnar"):
             assert try_witness_tuple_sets(database, query) is None
         assert backend_counters()["fallback"] == 1
 

@@ -303,7 +303,8 @@ class TestSharding:
             range(len(tasks))
         )
         loads = sorted(s.cost_estimate for s in shards)
-        assert loads[-1] <= loads[0] + 8  # LPT keeps the spread bounded
+        # LPT keeps the spread within the largest task weight.
+        assert loads[-1] <= loads[0] + max(t.cost_estimate for t in tasks)
 
     def test_database_affinity_when_balance_allows(self):
         """Each database's tasks stay together when shards can still

@@ -1,245 +1,57 @@
-"""Differential and property tests for the cost-based backend planner.
+"""Tests for ``repro planner explain`` and the sizing it reports.
 
-The planner (:mod:`repro.planner`) chooses a join backend, kernel
-backend, flow backend, exact solver, and sharding strategy per
-instance.  Its load-bearing contract is **output-invisibility**: any
-plan it can emit must produce the same answers as the forced-backend
-reference paths — backend choice may move *time*, never *values,
-certificates, or intervals*.  This module pins that contract three
-ways:
+:func:`repro.planner.plan_instance` reads each engine layer's own
+decision function for one instance; :func:`repro.planner.extract_features`
+reports the instance's size features.  This module pins
 
-* a ~200-instance differential matrix (8 query families x seeds, unit
-  and skewed costs, all three solving tiers) comparing the planner's
-  answer against **every** forced backend combination it could have
-  picked — value and interval equality for all combinations (distinct
-  backends may witness distinct optimal sets), full bit-identity
-  against the combination the plan actually chose;
 * hypothesis property suites for feature extraction — purity,
-  invariance under active-domain renaming and declaration order
-  (the machinery of ``tests/test_properties.py``), and monotonicity
-  of the size features under endogenous insertion;
-* determinism pins: plans are pure functions of instance content and
-  model (repeated calls agree; ``workers=1`` and ``workers=2`` batches
-  record identical plan histograms and bit-identical results).
+  invariance under active-domain renaming and declaration order (the
+  machinery of ``tests/test_properties.py``), and monotonicity of the
+  size features under endogenous insertion;
+* that the plan's exact solver appears only once a witness structure
+  is cached, and then agrees with
+  :func:`repro.resilience.exact.choose_backend`;
+* environment-variable validation and explicit ``method`` precedence;
+* that serving admission sizes requests by the same endogenous tuple
+  count (Definition 1) the features report;
+* the ``repro planner explain`` CLI.
 
-It also covers the satellite contracts: admission control and the
-planner share one size feature (a rerouted request is exactly a
-planner-"large" instance), ``repro planner calibrate`` round-trips
-through JSON reproducing identical plans, and a corrupted or missing
-``REPRO_PLANNER_MODEL`` degrades to the static default table with a
-``UserWarning`` — never a failed solve.
-
+The backend-equivalence matrix lives in ``tests/test_backend_matrix.py``.
 Effort (``max_examples``) comes from the hypothesis profile registered
 in ``conftest.py``; do not pin ``max_examples`` here.
 """
 
-import itertools
 import json
-from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.core import solve_batch
-from repro.db import Database
-from repro.planner import (
-    DEFAULT_MAX_EXACT_TUPLES,
-    DEFAULT_MODEL,
-    WITNESS_ESTIMATE_CAP,
-    CostModel,
-    Plan,
-    active_model,
-    calibrate,
-    clear_model_cache,
-    extract_features,
-    is_large_instance,
-    load_model,
-    plan_instance,
-    planner_enabled,
-    use_plan,
-)
+from repro.db import Database, endogenous_tuple_count
+from repro.planner import extract_features, plan_instance
+from repro.query.evaluation import WITNESS_ESTIMATE_CAP
 from repro.query.zoo import ALL_QUERIES, q_chain, q_a_chain
-from repro.resilience.exact import effective_backend, solver_backend_override
+from repro.resilience.exact import (
+    choose_backend,
+    effective_backend,
+    solver_backend_override,
+)
 from repro.resilience.solver import solve
-from repro.resilience.types import Budget
+from repro.serving.admission import DEFAULT_MAX_EXACT_TUPLES, AdmissionPolicy
+from repro.serving.wire import SolveRequest
 from repro.witness import clear_witness_cache, witness_structure
-from repro.workloads import assign_skewed_costs, random_database_for_queries
+from repro.workloads import random_database_for_queries
 
 SETTINGS = settings(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
-# ---------------------------------------------------------------------------
-# The differential matrix
-# ---------------------------------------------------------------------------
-
-# Eight query families spanning the dichotomy: NP-hard self-join
-# queries (chain, a_chain, sj1_rats, 3chain), flow-handled PTIME
-# queries (conf, perm, Aperm), and the linear q_lin with a ternary
-# relation.  Each family gets its own compatible random database.
-FAMILIES = (
-    "q_chain",
-    "q_a_chain",
-    "q_sj1_rats",
-    "q_conf",
-    "q_3chain",
-    "q_perm",
-    "q_Aperm",
-    "q_lin",
-)
-SEEDS = range(13)
-MODES = ("exact", "approx", "anytime")
-
-# Every backend combination the planner could have picked: the full
-# cross product of the two-way choices at each layer.
-FORCED_COMBOS = tuple(
-    itertools.product(
-        ("columnar", "reference"),  # join
-        ("bitset", "reference"),    # kernel
-        ("csgraph", "networkx"),    # flow
-        ("bnb", "ilp"),             # solver
-    )
-)
-
-# Deterministic anytime budget: node limits are exact replay, wall
-# clocks are not.
-ANYTIME_BUDGET = Budget(node_limit=64)
-
-
-def _instance(family, seed, skewed):
-    """One matrix instance: a random database for the family's query."""
+def _instance(family, seed):
     query = ALL_QUERIES[family]
-    db = random_database_for_queries(
-        [query], domain_size=5, density=0.4, seed=1000 * skewed + seed
-    )
-    if skewed:
-        assign_skewed_costs(db, seed=seed + 1)
+    db = random_database_for_queries([query], domain_size=5, density=0.4, seed=seed)
     return db, query
-
-
-def _mode_of(family, seed, skewed):
-    """Deterministic mode assignment covering all (family, mode) cells."""
-    return MODES[(FAMILIES.index(family) + seed + skewed) % len(MODES)]
-
-
-def _force(monkeypatch, join, kernel, flow, solver_backend):
-    """Force one backend combination and disable the planner."""
-    monkeypatch.setenv("REPRO_PLANNER", "off")
-    monkeypatch.setenv("REPRO_JOIN_BACKEND", join)
-    # The env join backend keeps its own size gate; forcing columnar
-    # means dropping that gate too.
-    monkeypatch.setenv("REPRO_COLUMNAR_MIN_TUPLES", "0")
-    monkeypatch.setenv("REPRO_KERNEL_BACKEND", kernel)
-    monkeypatch.setenv("REPRO_FLOW_BACKEND", flow)
-    monkeypatch.setenv("REPRO_SOLVER_BACKEND", solver_backend)
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("family", FAMILIES)
-class TestDifferentialMatrix:
-    """Planner answers == forced-backend answers, instance by instance."""
-
-    @pytest.mark.parametrize("skewed", (0, 1), ids=("unit", "skewed"))
-    def test_planner_matches_every_forced_combination(
-        self, family, seed, skewed, monkeypatch
-    ):
-        db, query = _instance(family, seed, skewed)
-        mode = _mode_of(family, seed, skewed)
-        weighted = bool(skewed)
-        budget = ANYTIME_BUDGET if mode == "anytime" else None
-
-        monkeypatch.setenv("REPRO_PLANNER", "on")
-        clear_witness_cache()
-        planned = solve(db, query, mode=mode, budget=budget, weighted=weighted)
-        # The cache is now warm, so this plan sees the kernelized shape
-        # and pins the exact solver the planned run resolved to.
-        plan = plan_instance(
-            db, query, mode=mode, budget=budget, weighted=weighted
-        )
-        chosen = (plan.join, plan.kernel, plan.flow, plan.solver)
-
-        for combo in FORCED_COMBOS:
-            with monkeypatch.context() as forced_env:
-                _force(forced_env, *combo)
-                clear_witness_cache()
-                forced = solve(
-                    db, query, mode=mode, budget=budget, weighted=weighted
-                )
-            # Output-invisibility: every combination returns the same
-            # value, and in bounded modes the same certified interval.
-            assert forced.value == planned.value, (combo, plan.signature())
-            if mode != "exact":
-                assert forced.interval == planned.interval, (
-                    combo,
-                    plan.signature(),
-                )
-            if combo == chosen:
-                # The planner's own answer is bit-identical to forcing
-                # the combination it picked: same value, same witness
-                # set, same method string.
-                assert forced == planned, plan.signature()
-
-    def test_plans_deterministic_across_repeated_calls(self, family, seed):
-        db, query = _instance(family, seed, skewed=0)
-        mode = _mode_of(family, seed, 0)
-        clear_witness_cache()
-        cold_a = plan_instance(db, query, mode=mode)
-        cold_b = plan_instance(db, query, mode=mode)
-        assert cold_a == cold_b
-        solve(db, query, mode=mode, budget=ANYTIME_BUDGET if mode == "anytime" else None)
-        warm_a = plan_instance(db, query, mode=mode)
-        warm_b = plan_instance(db, query, mode=mode)
-        assert warm_a == warm_b
-        # Warmth may refine the solver choice but never flips a
-        # non-"auto" decision the cold plan already made.
-        assert (cold_a.join, cold_a.kernel, cold_a.flow, cold_a.split) == (
-            warm_a.join,
-            warm_a.kernel,
-            warm_a.flow,
-            warm_a.split,
-        )
-
-
-class TestBatchPlanDeterminism:
-    """solve_batch records the same plans at workers=1 and workers=2."""
-
-    def _mixed_batch(self):
-        pairs = []
-        for i, family in enumerate(FAMILIES):
-            db, query = _instance(family, seed=17 + i, skewed=i % 2)
-            pairs.append((db, query))
-        return pairs
-
-    def test_workers_1_and_2_agree_bit_identically(self):
-        pairs = self._mixed_batch()
-        clear_witness_cache()
-        serial = solve_batch(pairs, workers=1, planner=True)
-        clear_witness_cache()
-        parallel = solve_batch(pairs, workers=2, planner=True)
-        assert list(serial.results) == list(parallel.results)
-        assert dict(serial.stats.plans) == dict(parallel.stats.plans)
-        assert sum(serial.stats.plans.values()) == len(pairs)
-
-    def test_plans_surface_in_batch_summary(self):
-        pairs = self._mixed_batch()
-        clear_witness_cache()
-        batch = solve_batch(pairs, workers=1, planner=True)
-        assert any(
-            line.startswith("plans: ") for line in batch.stats.summary_lines()
-        )
-
-    def test_planner_off_records_no_plans_and_same_values(self):
-        pairs = self._mixed_batch()
-        clear_witness_cache()
-        on = solve_batch(pairs, workers=1, planner=True)
-        clear_witness_cache()
-        off = solve_batch(pairs, workers=1, planner=False)
-        assert on.values() == off.values()
-        assert dict(off.stats.plans) == {}
 
 
 # ---------------------------------------------------------------------------
@@ -340,83 +152,56 @@ class TestFeatureProperties:
             len(edge_list) ** 2, WITNESS_ESTIMATE_CAP
         )
 
-    def test_kernel_features_appear_only_with_a_cached_structure(self):
-        db, query = _instance("q_chain", seed=5, skewed=0)
+    def test_solver_appears_only_with_a_cached_structure(self):
+        db, query = _instance("q_chain", seed=5)
         clear_witness_cache()
-        cold = extract_features(db, query)
-        assert cold.kernel_components is None
-        assert cold.kernel_size is None
+        assert plan_instance(db, query).solver == "auto"
         ws = witness_structure(db, query)
-        warm = extract_features(db, query)
-        assert warm.kernel_components == len(ws.components)
-        assert warm.kernel_tuples == ws.stats.tuples_final
-        assert warm.kernel_size is not None
+        assert plan_instance(db, query).solver == choose_backend(ws)
 
     def test_cache_peek_does_not_disturb_cache_telemetry(self):
         from repro.witness import witness_cache_info
 
-        db, query = _instance("q_chain", seed=6, skewed=0)
+        db, query = _instance("q_chain", seed=6)
         clear_witness_cache()
         before = witness_cache_info()
-        extract_features(db, query)
+        plan_instance(db, query)
         assert witness_cache_info() == before
 
 
 # ---------------------------------------------------------------------------
-# Precedence: explicit kwarg > env var > plan > static default
+# Precedence: explicit kwarg > env var > the layer's rule
 # ---------------------------------------------------------------------------
 
 class TestPrecedence:
-    def test_env_var_beats_plan_for_the_solver(self, monkeypatch):
-        db, query = _instance("q_chain", seed=0, skewed=0)
+    def test_env_var_beats_the_per_structure_rule(self, monkeypatch):
+        db, query = _instance("q_chain", seed=0)
         ws = witness_structure(db, query)
-        plan = plan_instance(db, query)
-        pinned = Plan(
-            join=plan.join,
-            kernel=plan.kernel,
-            flow=plan.flow,
-            solver="ilp",
-            split=plan.split,
-            size_class=plan.size_class,
-            model_version=plan.model_version,
-            features=plan.features,
-        )
-        with use_plan(pinned):
-            assert effective_backend(ws) == "ilp"
-            monkeypatch.setenv("REPRO_SOLVER_BACKEND", "bnb")
-            assert effective_backend(ws) == "bnb"
+        for forced in ("bnb", "ilp"):
+            monkeypatch.setenv("REPRO_SOLVER_BACKEND", forced)
+            assert effective_backend(ws) == forced
+        monkeypatch.delenv("REPRO_SOLVER_BACKEND")
+        assert effective_backend(ws) == choose_backend(ws)
 
     def test_invalid_solver_backend_env_raises(self, monkeypatch):
         monkeypatch.setenv("REPRO_SOLVER_BACKEND", "simplex")
         with pytest.raises(ValueError, match="REPRO_SOLVER_BACKEND"):
             solver_backend_override()
 
-    def test_planner_enabled_precedence_and_validation(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PLANNER", raising=False)
-        assert planner_enabled(None) is True  # default on
-        monkeypatch.setenv("REPRO_PLANNER", "off")
-        assert planner_enabled(None) is False
-        assert planner_enabled(True) is True  # explicit beats env
-        monkeypatch.setenv("REPRO_PLANNER", "maybe")
-        with pytest.raises(ValueError, match="REPRO_PLANNER"):
-            planner_enabled(None)
-
-    def test_explicit_method_kwarg_beats_everything(self, monkeypatch):
+    def test_explicit_method_kwarg_beats_everything(self):
         """method='exact' forces the hitting-set path even for a
-        PTIME-dispatched query — planner on or off."""
-        db, query = _instance("q_perm", seed=1, skewed=0)
-        for planner_env in ("on", "off"):
-            monkeypatch.setenv("REPRO_PLANNER", planner_env)
-            clear_witness_cache()
-            result = solve(db, query, method="exact")
-            assert result.method in ("branch-and-bound", "ilp")
+        PTIME-dispatched query."""
+        db, query = _instance("q_perm", seed=1)
+        clear_witness_cache()
+        result = solve(db, query, method="exact")
+        assert result.method in ("branch-and-bound", "ilp")
 
 
 # ---------------------------------------------------------------------------
-# Admission control and the planner share one size gate
+# Admission sizes requests by the endogenous tuple count
 # ---------------------------------------------------------------------------
 
-class TestAdmissionPlannerConsistency:
+class TestAdmissionSizing:
     def _oversized_db(self):
         db = Database()
         db.declare("R", 2)
@@ -424,231 +209,84 @@ class TestAdmissionPlannerConsistency:
             db.add("R", i, i + 1)
         return db
 
-    def test_rerouted_request_is_exactly_a_planner_large_instance(self):
-        from repro.serving.admission import AdmissionPolicy
-        from repro.serving.wire import SolveRequest
-
+    def test_rerouted_request_is_oversized(self):
         policy = AdmissionPolicy()
         db = self._oversized_db()
         request = SolveRequest(db, q_chain, mode="exact")
         decision = policy.admit(request, active_solves=0)
         assert decision.accepted and decision.rerouted
         assert decision.mode == "anytime"
-        # The same feature, the same threshold, the same verdict.
-        features = policy.features(request)
-        assert is_large_instance(features)
-        assert plan_instance(db, q_chain).size_class == "large"
+        assert policy.oversized(request)
+        assert extract_features(db, q_chain).endogenous_tuples > (
+            DEFAULT_MAX_EXACT_TUPLES
+        )
 
-    def test_small_request_is_interactive_and_planner_small(self):
-        from repro.serving.admission import AdmissionPolicy
-        from repro.serving.wire import SolveRequest
-
+    def test_small_request_is_interactive(self):
         policy = AdmissionPolicy()
-        db, query = _instance("q_chain", seed=2, skewed=0)
+        db, query = _instance("q_chain", seed=2)
         request = SolveRequest(db, query, mode="exact")
         decision = policy.admit(request, active_solves=0)
         assert decision.accepted and not decision.rerouted
-        assert plan_instance(db, query).size_class == "small"
+        assert not policy.oversized(request)
 
-    def test_instance_size_is_the_planner_feature(self):
-        from repro.serving.admission import AdmissionPolicy
-        from repro.serving.wire import SolveRequest
-
+    def test_instance_size_is_the_endogenous_count(self):
         policy = AdmissionPolicy()
-        db, query = _instance("q_a_chain", seed=3, skewed=0)
+        db, query = _instance("q_a_chain", seed=3)
+        db.set_exogenous("A")
         request = SolveRequest(db, query)
+        assert policy.instance_size(request) == endogenous_tuple_count(db)
+        assert policy.instance_size(request) == len(db.relations["R"])
         assert policy.instance_size(request) == extract_features(
             db, query
         ).endogenous_tuples
 
-    def test_custom_threshold_keeps_admission_and_classifier_aligned(self):
-        from repro.serving.admission import AdmissionPolicy
-        from repro.serving.wire import SolveRequest
-
+    def test_custom_threshold_drives_the_reroute(self):
         policy = AdmissionPolicy(max_exact_tuples=10)
-        db, query = _instance("q_chain", seed=4, skewed=0)
+        db, query = _instance("q_chain", seed=4)
         request = SolveRequest(db, query, mode="exact")
         decision = policy.admit(request, active_solves=0)
-        features = policy.features(request)
-        assert decision.rerouted == is_large_instance(
-            features, max_exact_tuples=policy.max_exact_tuples
+        assert decision.rerouted == policy.oversized(request)
+        assert decision.rerouted == (len(db) > 10)
+
+
+# ---------------------------------------------------------------------------
+# Plan shape and the explain CLI
+# ---------------------------------------------------------------------------
+
+class TestPlanShape:
+    def test_plan_signature_and_features_are_stable(self, monkeypatch):
+        for layer in ("JOIN", "KERNEL", "FLOW", "SOLVER"):
+            monkeypatch.delenv(f"REPRO_{layer}_BACKEND", raising=False)
+        db, query = _instance("q_chain", seed=10)
+        clear_witness_cache()
+        plan = plan_instance(db, query)
+        assert plan.signature() == (
+            "join=reference,kernel=bitset,flow=csgraph,solver=auto,split=no"
         )
+        payload = plan.features.as_dict()
+        assert payload["endogenous_tuples"] == len(db)
+        json.dumps(payload)
 
-
-# ---------------------------------------------------------------------------
-# Calibration round-trip and model fallback
-# ---------------------------------------------------------------------------
-
-BENCH_RECORDS = (
-    "BENCH_e18_hotpaths.json",
-    "BENCH_e19_serving.json",
-    "BENCH_e20_weighted.json",
-)
-
-
-def _bench_records():
-    records = []
-    for name in BENCH_RECORDS:
-        with open(REPO_ROOT / name) as handle:
-            records.append((name, json.load(handle)))
-    return records
-
-
-def _sample_instances():
-    for family in ("q_chain", "q_perm", "q_lin"):
-        for seed in (0, 7):
-            yield _instance(family, seed, skewed=0)
-
-
-class TestCalibration:
-    def test_calibrate_is_deterministic_and_versioned(self):
-        records = _bench_records()
-        model_a = calibrate(records)
-        model_b = calibrate(records)
-        assert model_a == model_b
-        assert model_a.version.startswith("cal-")
-        assert model_a.source == BENCH_RECORDS
-
-    def test_round_trip_reproduces_identical_plans(self, tmp_path):
-        model = calibrate(_bench_records())
-        path = model.save(tmp_path / "model.json")
-        loaded = load_model(path)
-        assert loaded == model
-        clear_witness_cache()
-        for db, query in _sample_instances():
-            assert plan_instance(db, query, model=loaded) == plan_instance(
-                db, query, model=model
-            )
-
-    def test_calibrated_crossovers_match_the_default_table(self):
-        """Calibration refits slopes from measured speedups but keeps
-        every crossover at the shipped threshold, so calibrated plans
-        equal default plans (only the model version differs)."""
-        model = calibrate(_bench_records())
-        clear_witness_cache()
-        for db, query in _sample_instances():
-            assert (
-                plan_instance(db, query, model=model).signature()
-                == plan_instance(db, query, model=DEFAULT_MODEL).signature()
-            )
-
-    def test_calibrate_requires_the_e18_record(self):
-        records = [r for r in _bench_records() if r[0] != BENCH_RECORDS[0]]
-        with pytest.raises(ValueError, match="e18_hotpaths"):
-            calibrate(records)
-
-    def test_cli_calibrate_json_round_trip(self, tmp_path, capsys):
-        from repro.cli import main
-
-        out = tmp_path / "model.json"
-        argv = ["planner", "calibrate"]
-        argv += [str(REPO_ROOT / name) for name in BENCH_RECORDS]
-        argv += ["--json", str(out)]
-        assert main(argv) == 0
-        loaded = load_model(out)
-        assert loaded.version.startswith("cal-")
-        assert "REPRO_PLANNER_MODEL" in capsys.readouterr().out
+    def test_solver_pin_agrees_with_choose_backend(self):
+        """When a structure is cached, the plan's solver is the backend
+        choose_backend derives from it."""
+        for family in ("q_chain", "q_3chain", "q_sj1_rats"):
+            for seed in (0, 3, 11):
+                db, query = _instance(family, seed)
+                clear_witness_cache()
+                ws = witness_structure(db, query)
+                plan = plan_instance(db, query)
+                if ws.satisfied:
+                    assert plan.solver == choose_backend(ws)
 
     def test_cli_explain_smoke(self, tmp_path, capsys):
         from repro.cli import main
         from repro.serving.wire import database_to_spec
 
-        db, query = _instance("q_chain", seed=8, skewed=0)
+        db, query = _instance("q_chain", seed=8)
         db_path = tmp_path / "db.json"
         db_path.write_text(json.dumps(database_to_spec(db)))
         assert main(["planner", "explain", "q_chain", str(db_path)]) == 0
         output = capsys.readouterr().out
         assert "plan: join=" in output
         assert "endogenous_tuples" in output
-
-
-class TestModelFallback:
-    def test_missing_model_file_falls_back_with_a_warning(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PLANNER_MODEL", "/nonexistent/model.json")
-        clear_model_cache()
-        with pytest.warns(UserWarning, match="falling back"):
-            model = active_model()
-        assert model == DEFAULT_MODEL
-
-    def test_corrupted_model_file_falls_back_with_a_warning(
-        self, monkeypatch, tmp_path
-    ):
-        bad = tmp_path / "model.json"
-        bad.write_text("{not json")
-        monkeypatch.setenv("REPRO_PLANNER_MODEL", str(bad))
-        clear_model_cache()
-        with pytest.warns(UserWarning, match="falling back"):
-            model = active_model()
-        assert model == DEFAULT_MODEL
-        # Wrong schema is rejected just as loudly.
-        bad.write_text(json.dumps({"schema": 999, "kind": "planner-cost-model"}))
-        clear_model_cache()
-        with pytest.warns(UserWarning, match="falling back"):
-            assert active_model() == DEFAULT_MODEL
-
-    def test_solves_survive_a_corrupted_model(self, monkeypatch, tmp_path):
-        bad = tmp_path / "model.json"
-        bad.write_text("[]")
-        monkeypatch.setenv("REPRO_PLANNER_MODEL", str(bad))
-        clear_model_cache()
-        db, query = _instance("q_chain", seed=9, skewed=0)
-        clear_witness_cache()
-        with pytest.warns(UserWarning):
-            degraded = solve(db, query)
-        monkeypatch.delenv("REPRO_PLANNER_MODEL")
-        clear_model_cache()
-        clear_witness_cache()
-        assert degraded == solve(db, query)
-
-    def test_valid_model_file_is_used_and_memoized(self, monkeypatch, tmp_path):
-        path = DEFAULT_MODEL.save(tmp_path / "model.json")
-        monkeypatch.setenv("REPRO_PLANNER_MODEL", str(path))
-        clear_model_cache()
-        assert active_model() == DEFAULT_MODEL
-        assert active_model() is active_model()  # memoized by mtime
-
-
-# ---------------------------------------------------------------------------
-# Plan shape and serialization
-# ---------------------------------------------------------------------------
-
-class TestPlanShape:
-    def test_plan_signature_and_dict_are_stable(self):
-        db, query = _instance("q_chain", seed=10, skewed=0)
-        clear_witness_cache()
-        plan = plan_instance(db, query)
-        assert plan.signature().startswith("join=")
-        payload = plan.to_dict()
-        assert payload["model_version"] == DEFAULT_MODEL.version
-        assert payload["features"]["endogenous_tuples"] == len(db)
-        json.dumps(payload)  # serializable into BatchStats / metrics
-
-    def test_default_model_choices_match_historical_thresholds(self):
-        # Join: columnar from 128 total tuples (ties to columnar).
-        assert DEFAULT_MODEL.choose("join", 127) == "reference"
-        assert DEFAULT_MODEL.choose("join", 128) == "columnar"
-        # Kernel and flow: the engine backends at every size.
-        assert DEFAULT_MODEL.choose("kernel", 0) == "bitset"
-        assert DEFAULT_MODEL.choose("kernel", 10**6) == "bitset"
-        assert DEFAULT_MODEL.choose("flow", 10**6) == "csgraph"
-        # Solver: ILP strictly above kernel_size 60 (ties to bnb,
-        # replicating choose_backend's strict > comparisons).
-        assert DEFAULT_MODEL.choose("solver", 60) == "bnb"
-        assert DEFAULT_MODEL.choose("solver", 61) == "ilp"
-        # Shard: split from 400 endogenous tuples.
-        assert DEFAULT_MODEL.choose("shard", 399) == "whole"
-        assert DEFAULT_MODEL.choose("shard", 400) == "split"
-
-    def test_solver_pin_agrees_with_choose_backend(self):
-        """When the plan pins a solver from cached kernel features, it
-        is the same backend choose_backend derives from the structure."""
-        from repro.resilience.exact import choose_backend
-
-        for family in ("q_chain", "q_3chain", "q_sj1_rats"):
-            for seed in (0, 3, 11):
-                db, query = _instance(family, seed, skewed=0)
-                clear_witness_cache()
-                ws = witness_structure(db, query)
-                plan = plan_instance(db, query)
-                if plan.solver != "auto" and ws.satisfied:
-                    assert plan.solver == choose_backend(ws)
