@@ -562,8 +562,9 @@ def cmd_planner_explain(args) -> int:
         print(f"  {name}: {value}")
     print(f"plan: {plan.signature()}")
     print(
-        "note: solver=auto is decided after kernelization "
-        "(choose_backend); REPRO_*_BACKEND env vars override each layer"
+        "note: solver=auto is decided per witness component (branch and "
+        "bound first, HiGHS for what it leaves open); REPRO_*_BACKEND env "
+        "vars override each layer"
     )
     return 0
 

@@ -32,7 +32,7 @@ from repro.query.cq import ConjunctiveQuery
 from repro.query.evaluation import DatabaseIndex
 from repro.query.homomorphism import minimize
 from repro.query.parser import parse_query
-from repro.resilience.solver import dispatch_plan, solve
+from repro.resilience.solver import dispatch_plan_for, solve
 from repro.resilience.types import ResilienceResult
 from repro.structure.classifier import Classification, Verdict, classify
 from repro.structure.domination import dominated_relations, normalize
@@ -585,14 +585,17 @@ def _solve_units_parallel(
         execute_shards,
         group_by_database,
     )
-    from repro.resilience.exact import effective_backend
+    from repro.resilience.exact import _assemble, solver_backend_override
     from repro.resilience.types import Budget
 
     budget_obj = None if budget is None else Budget.coerce(budget)
+    # A forced exact backend, read once: component tasks run under it
+    # exactly as resilience_exact(prefer="auto") would in series.
+    backend = solver_backend_override()
     tasks: List[object] = []
     pair_task_units: Dict[int, Tuple[frozenset, frozenset]] = {}
-    # unit key -> (structure, method name, component task ids)
-    assemblies: Dict[Tuple[frozenset, frozenset], Tuple[object, str, List[int]]] = {}
+    # unit key -> (structure, component task ids)
+    assemblies: Dict[Tuple[frozenset, frozenset], Tuple[object, List[int]]] = {}
 
     # unit key -> effective weighted flag (all-unit pairs delegate)
     unit_weighted: Dict[Tuple[frozenset, frozenset], bool] = {}
@@ -601,7 +604,8 @@ def _solve_units_parallel(
         w = weighted and db.has_weighted_costs()
         unit_weighted[key] = w
         exact_path = (
-            method is None and dispatch_plan(query, weighted=w).kind == "exact"
+            method is None
+            and dispatch_plan_for(db, query, weighted=w).kind == "exact"
         )
         if (
             exact_path
@@ -619,12 +623,6 @@ def _solve_units_parallel(
                     0, frozenset(), method="unsatisfied"
                 )
                 continue
-            # The backend is decided per whole structure — the same rule
-            # resilience_exact(prefer="auto") applies, env override
-            # included — so the assembled result names the method a
-            # serial solve would have named.
-            backend = effective_backend(ws)
-            method_name = "ilp" if backend == "ilp" else "branch-and-bound"
             comp_ids: List[int] = []
             for comp in ws.components:
                 task_id = len(tasks)
@@ -639,7 +637,7 @@ def _solve_units_parallel(
                     )
                 )
                 comp_ids.append(task_id)
-            assemblies[key] = (ws, method_name, comp_ids)
+            assemblies[key] = (ws, comp_ids)
         else:
             task_id = len(tasks)
             tasks.append(
@@ -656,11 +654,12 @@ def _solve_units_parallel(
 
     for task_id, key in pair_task_units.items():
         unit_results[key] = outcomes[task_id]
-    for key, (ws, method_name, comp_ids) in assemblies.items():
-        chosen = set(ws.forced_ids)
-        for task_id in comp_ids:
-            chosen |= outcomes[task_id]
-        value = ws.cost_of(chosen) if unit_weighted[key] else len(chosen)
-        unit_results[key] = ResilienceResult(
-            value, ws.tuples(chosen), method=method_name
+    # The method is computed from the component outcomes (did HiGHS
+    # run for any of them?), exactly as the serial assembly does.
+    for key, (ws, comp_ids) in assemblies.items():
+        unit_results[key] = _assemble(
+            ws,
+            (outcomes[task_id] for task_id in comp_ids),
+            backend=backend,
+            weighted=unit_weighted[key],
         )

@@ -94,12 +94,8 @@ from repro.resilience.approx import (
     _component_interval,
     resilience_anytime,
 )
-from repro.resilience.exact import (
-    _bnb_component,
-    _ilp_component,
-    choose_backend,
-)
-from repro.resilience.solver import dispatch_plan, solve as _dispatch_solve
+from repro.resilience.exact import _method_label, _solve_component
+from repro.resilience.solver import dispatch_plan_for, solve as _dispatch_solve
 from repro.resilience.types import (
     BoundedResilienceResult,
     Budget,
@@ -383,7 +379,7 @@ class IncrementalSession:
             sig = q.canonical_signature()
             if sig in self._states:
                 continue
-            state = _QueryState(q, dispatch_plan(q).kind, self._db)
+            state = _QueryState(q, dispatch_plan_for(self._db, q).kind, self._db)
             if state.plan_kind == "exact":
                 state.rebuild(self._db, self._index)
             self._states[sig] = state
@@ -644,36 +640,40 @@ class IncrementalSession:
     def _solve_exact_structure(
         self, ws: WitnessStructure, workers
     ) -> ResilienceResult:
-        # resilience_exact(prefer="auto")'s backend rule, so the
-        # assembled answer is the one a fresh solve would name.
-        backend = choose_backend(ws)
-        use_ilp = backend == "ilp"
-        method = "ilp" if use_ilp else "branch-and-bound"
+        # Every component goes through the exact tier's per-component
+        # routine, and the method names HiGHS when it ran for any of
+        # them, so the assembled answer is the one a fresh solve names.
+        # Memo entries record the fall-through with the facts.
         chosen: Set[DBTuple] = set(ws.tuples(ws.forced_ids))
+        ran_ilp = False
         missing: List[Tuple[frozenset, object]] = []
         for comp in ws.components:
             content = self._component_content(ws, comp)
-            payload = self._component_lookup(content, "exact", backend)
+            payload = self._component_lookup(content, "exact", "auto")
             if payload is not None:
-                chosen |= payload
+                facts, fell_through = payload
+                chosen |= facts
+                ran_ilp = ran_ilp or fell_through
             else:
                 missing.append((content, comp))
         if missing:
             workers = self._effective_workers(workers)
             if workers > 1 and len(missing) > 1:
-                solved = self._solve_components_pooled(ws, missing, backend, workers)
+                solved = self._solve_components_pooled(missing, workers)
             else:
-                solved = [
-                    _ilp_component(comp) if use_ilp else _bnb_component(comp.sets)
-                    for _content, comp in missing
-                ]
-            for (content, _comp), ids in zip(missing, solved):
+                solved = [_solve_component(comp) for _content, comp in missing]
+            for (content, _comp), (ids, fell_through) in zip(missing, solved):
                 facts = frozenset(ws.tuples(ids))
-                self._component_store(content, "exact", backend, facts)
+                self._component_store(
+                    content, "exact", "auto", (facts, fell_through)
+                )
                 chosen |= facts
-        return ResilienceResult(len(chosen), frozenset(chosen), method=method)
+                ran_ilp = ran_ilp or fell_through
+        return ResilienceResult(
+            len(chosen), frozenset(chosen), method=_method_label(ran_ilp)
+        )
 
-    def _solve_components_pooled(self, ws, missing, backend, workers):
+    def _solve_components_pooled(self, missing, workers):
         """Farm uncached components to the repro.parallel pool."""
         from repro.parallel import (
             ComponentTask,
@@ -683,7 +683,7 @@ class IncrementalSession:
         )
 
         tasks = [
-            ComponentTask(i, comp.tuple_ids, comp.sets, backend)
+            ComponentTask(i, comp.tuple_ids, comp.sets)
             for i, (_content, comp) in enumerate(missing)
         ]
         shards = build_shards(group_by_database(tasks), workers)

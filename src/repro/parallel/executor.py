@@ -60,7 +60,8 @@ class ShardOutcome:
     Pair-task outcomes are result objects
     (:class:`~repro.resilience.types.ResilienceResult` or
     :class:`~repro.resilience.types.BoundedResilienceResult`);
-    component-task outcomes are frozensets of chosen global tuple ids.
+    component-task outcomes are ``(chosen global tuple ids, ran_ilp)``
+    pairs, the frozenset and whether HiGHS solved the component.
     """
 
     shard_id: int
@@ -76,8 +77,8 @@ def run_shard(shard: Shard) -> ShardOutcome:
     """
     # Imported here (not at module top) to keep worker start-up lean and
     # to avoid an import cycle through repro.resilience.solver.
-    from repro.resilience.exact import _bnb_component, _ilp_component
-    from repro.resilience.solver import solve
+    from repro.resilience.exact import _solve_component
+    from repro.resilience.solver import dispatch_plan_for, solve
 
     telemetry = WorkerTelemetry()
     outcomes: Dict[int, object] = {}
@@ -85,15 +86,12 @@ def run_shard(shard: Shard) -> ShardOutcome:
     for task in shard.tasks:
         if isinstance(task, ComponentTask):
             costs = dict(task.costs) if task.costs is not None else None
-            if task.backend == "ilp":
-                comp = WitnessComponent(task.tuple_ids, task.sets)
-                outcomes[task.task_id] = frozenset(
-                    _ilp_component(comp, costs=costs)
-                )
-            else:
-                outcomes[task.task_id] = frozenset(
-                    _bnb_component(task.sets, costs=costs)
-                )
+            ids, ran_ilp = _solve_component(
+                WitnessComponent(task.tuple_ids, task.sets),
+                costs=costs,
+                backend=task.backend,
+            )
+            outcomes[task.task_id] = (frozenset(ids), ran_ilp)
             continue
         index = indexes.get(id(task.database))
         if index is None:
@@ -103,7 +101,11 @@ def run_shard(shard: Shard) -> ShardOutcome:
         # task — the same delegation solve() itself applies, done here
         # too so the structure prefetch keys match the solve.
         weighted = task.weighted and task.database.has_weighted_costs()
-        if task.method is None and _exact_dispatch(task.query, weighted):
+        if (
+            task.method is None
+            and dispatch_plan_for(task.database, task.query, weighted).kind
+            == "exact"
+        ):
             _, misses_before, _ = witness_cache_info()
             ws = witness_structure(
                 task.database, task.query, index=index, weighted=weighted
@@ -132,12 +134,6 @@ def run_shard(shard: Shard) -> ShardOutcome:
                 weighted=weighted,
             )
     return ShardOutcome(shard.shard_id, outcomes, telemetry)
-
-
-def _exact_dispatch(query, weighted: bool = False) -> bool:
-    from repro.resilience.solver import dispatch_plan
-
-    return dispatch_plan(query, weighted=weighted).kind == "exact"
 
 
 def _pool_context():

@@ -6,8 +6,8 @@ decision point: witness enumeration (Section 2) in
 :func:`repro.witness.structure._kernel_backend`, the Proposition 31
 min cut in :func:`repro.resilience.flownet.flow_backend`, the
 Theorem 24 exact hitting-set search in
-:func:`repro.resilience.exact.effective_backend`, and the parallel
-component split in :func:`repro.core.analyzer.split_instance`.
+:func:`repro.resilience.exact.solver_backend_override`, and the
+parallel component split in :func:`repro.core.analyzer.split_instance`.
 :func:`plan_instance` calls exactly those functions for one instance
 and collects their answers in a :class:`Plan`, so ``repro planner
 explain`` reports what a solve would run without restating any
@@ -23,9 +23,8 @@ from repro.db.database import Database
 from repro.query.columnar import _use_columnar
 from repro.query.cq import ConjunctiveQuery
 from repro.planner.features import PlanFeatures, extract_features
-from repro.resilience.exact import effective_backend, solver_backend_override
+from repro.resilience.exact import solver_backend_override
 from repro.resilience.flownet import flow_backend
-from repro.witness.cache import peek_witness_structure
 from repro.witness.structure import _kernel_backend
 
 __all__ = ["Plan", "PlanFeatures", "extract_features", "plan_instance"]
@@ -35,11 +34,11 @@ __all__ = ["Plan", "PlanFeatures", "extract_features", "plan_instance"]
 class Plan:
     """One instance's backends, every layer in one place.
 
-    ``solver`` is ``"bnb"``/``"ilp"`` when a witness structure for the
-    pair is already cached (or ``REPRO_SOLVER_BACKEND`` forces one),
-    else ``"auto"``: the exact solver is picked after kernelization.
-    ``split`` says whether a parallel exact batch shards the instance
-    per witness component.
+    ``solver`` is the backend ``REPRO_SOLVER_BACKEND`` forces
+    (``"bnb"``/``"ilp"``), else ``"auto"``: the exact tier then picks
+    per component, running HiGHS only where a node-limited branch and
+    bound leaves one open.  ``split`` says whether a parallel exact
+    batch shards the instance per witness component.
     """
 
     join: str
@@ -62,20 +61,14 @@ def plan_instance(
 ) -> Plan:
     """The :class:`Plan` for one instance, read from each layer's rule.
 
-    Never builds anything: the exact solver is read off a structure
-    only when one is already cached (a cache peek).
+    Never builds anything.
     """
     features = extract_features(database, query, weighted=weighted)
-    ws = peek_witness_structure(database, query, weighted=features.weighted)
-    if ws is not None and ws.satisfied:
-        solver = effective_backend(ws)
-    else:
-        solver = solver_backend_override() or "auto"
     return Plan(
         join="columnar" if _use_columnar(database) else "reference",
         kernel=_kernel_backend(),
         flow=flow_backend(),
-        solver=solver,
+        solver=solver_backend_override() or "auto",
         split=split_instance(database),
         features=features,
     )

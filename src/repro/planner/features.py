@@ -20,7 +20,7 @@ from typing import Dict
 from repro.db.database import Database, endogenous_tuple_count
 from repro.query.cq import ConjunctiveQuery
 from repro.query.evaluation import witness_estimate
-from repro.resilience.solver import dispatch_plan
+from repro.resilience.solver import dispatch_plan_for
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,8 @@ def extract_features(
         total_tuples=len(database),
         endogenous_tuples=endogenous_tuple_count(database),
         witness_estimate=witness_estimate(database, query),
-        ptime=dispatch_plan(query, weighted=effective).kind != "exact",
+        ptime=dispatch_plan_for(database, query, weighted=effective).kind
+        != "exact",
         weighted=effective,
         storage=getattr(database, "storage_snapshot", None) is not None,
     )

@@ -224,37 +224,47 @@ def iter_witnesses(
     }
 
     valuation: Valuation = dict(seed) if seed else {}
+    yield from _extend(ordered, indexes, valuation, 0)
 
-    def extend(depth: int) -> Iterator[Valuation]:
-        if depth == len(ordered):
-            yield dict(valuation)
-            return
-        atom = ordered[depth]
-        index = indexes[atom.relation]
-        bound_positions = tuple(
-            i for i, v in enumerate(atom.args) if v in valuation
-        )
-        key = tuple(valuation[atom.args[i]] for i in bound_positions)
-        for fact in index.probe(bound_positions, key):
-            # Check consistency for repeated variables within the atom
-            # and bind the free ones.
-            newly_bound: List[str] = []
-            ok = True
-            for i, var in enumerate(atom.args):
-                val = fact.values[i]
-                if var in valuation:
-                    if valuation[var] != val:
-                        ok = False
-                        break
-                else:
-                    valuation[var] = val
-                    newly_bound.append(var)
-            if ok:
-                yield from extend(depth + 1)
-            for var in newly_bound:
-                del valuation[var]
 
-    yield from extend(0)
+def _extend(
+    ordered: List[Atom],
+    indexes: Dict[str, _AtomIndex],
+    valuation: Valuation,
+    depth: int,
+) -> Iterator[Valuation]:
+    """Bind atoms ``ordered[depth:]`` in turn; yields complete valuations.
+
+    Module-level rather than a closure: a nested generator that calls
+    itself holds a reference cycle through its closure cell, which
+    would keep every per-call :class:`DatabaseIndex` alive until the
+    cyclic garbage collector runs.
+    """
+    if depth == len(ordered):
+        yield dict(valuation)
+        return
+    atom = ordered[depth]
+    index = indexes[atom.relation]
+    bound_positions = tuple(i for i, v in enumerate(atom.args) if v in valuation)
+    key = tuple(valuation[atom.args[i]] for i in bound_positions)
+    for fact in index.probe(bound_positions, key):
+        # Check consistency for repeated variables within the atom
+        # and bind the free ones.
+        newly_bound: List[str] = []
+        ok = True
+        for i, var in enumerate(atom.args):
+            val = fact.values[i]
+            if var in valuation:
+                if valuation[var] != val:
+                    ok = False
+                    break
+            else:
+                valuation[var] = val
+                newly_bound.append(var)
+        if ok:
+            yield from _extend(ordered, indexes, valuation, depth + 1)
+        for var in newly_bound:
+            del valuation[var]
 
 
 def iter_witnesses_using(

@@ -48,6 +48,7 @@ from repro.resilience.flow_linear import LinearFlowSolver, resilience_linear_flo
 from repro.resilience.solver import (
     DispatchPlan,
     dispatch_plan,
+    dispatch_plan_for,
     in_res,
     resilience,
     solve,
@@ -56,6 +57,7 @@ from repro.resilience.solver import (
 __all__ = [
     "DispatchPlan",
     "dispatch_plan",
+    "dispatch_plan_for",
     "in_res",
     "Budget",
     "BoundedResilienceResult",

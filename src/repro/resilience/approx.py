@@ -624,6 +624,7 @@ def _budgeted_bnb_weighted(
             chosen.remove(t)
 
     search(list(sets), set(), 0)
+    search = None  # drop the closure's self-reference: no cyclic garbage
     completed = abandoned[0] > best[0]
     lower = best[0] if completed else min(best[0], abandoned[0])
     return lower, best[1], completed
@@ -655,6 +656,7 @@ def _budgeted_bnb_reference(
             chosen.remove(t)
 
     search(list(sets), set())
+    search = None  # drop the closure's self-reference: no cyclic garbage
     completed = abandoned[0] > best[0]
     lower = best[0] if completed else min(best[0], abandoned[0])
     return lower, best[1], completed
@@ -743,6 +745,7 @@ def _budgeted_bnb_bitset(
                 search(child, count, chosen | bit, n_chosen + 1)
 
     search(masks, packing_bound(masks), 0, 0)
+    search = None  # drop the closure's self-reference: no cyclic garbage
     completed = abandoned[0] > best_count[0]
     lower = best_count[0] if completed else min(best_count[0], abandoned[0])
     return lower, best_set[0], completed

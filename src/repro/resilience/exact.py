@@ -19,6 +19,13 @@ summed:
   structure's CSR incidence matrix and solved by scipy's ``milp``
   (HiGHS), which scales further.
 
+:func:`resilience_exact` combines them per component
+(:func:`_solve_component`): the branch and bound runs first under a
+node limit derived from :data:`EXACT_SEARCH_ROWS`, and HiGHS solves
+only the components that search leaves open.  Most kernels close at
+the search's root, where HiGHS would still pay for presolve, cuts and
+heuristics.
+
 Both are exponential in the worst case (minimum hitting set is NP-hard
 — Theorem 24 maps exactly which queries force this), but comfortably
 handle the gadget databases used to *verify* the reductions.  For
@@ -36,7 +43,7 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
-from typing import FrozenSet, Optional, Sequence, Set, TypeVar
+from typing import FrozenSet, Iterable, Optional, Sequence, Set, Tuple, TypeVar
 
 import numpy as np
 
@@ -78,14 +85,23 @@ def _bnb_component(sets: Sequence[FrozenSet[int]], costs=None) -> Set[int]:
     "unlimited budget equals exact" contract by construction.  With
     ``costs`` the objective (and the shared search) is the cost sum.
     """
+    best = _search_component(sets, costs=costs)
+    assert best is not None  # unlimited budget always finishes
+    return best
+
+
+def _search_component(
+    sets: Sequence[FrozenSet[int]], costs=None, node_limit: Optional[int] = None
+) -> Optional[Set[int]]:
+    """The greedy-seeded search of :func:`_bnb_component`, within
+    ``node_limit`` nodes; ``None`` when it runs out of nodes."""
     _, best_set, completed = _budgeted_bnb(
         sets,
         _greedy_hitting_set(sets, costs=costs),
-        _BudgetMeter(Budget()),
+        _BudgetMeter(Budget(node_limit=node_limit)),
         costs=costs,
     )
-    assert completed  # unlimited budget always finishes
-    return best_set
+    return best_set if completed else None
 
 
 @lru_cache(maxsize=1)
@@ -131,15 +147,91 @@ def _ilp_component(component: WitnessComponent, costs=None) -> Set[int]:
     }
 
 
-def _solve_structure(
-    ws: WitnessStructure, backend, method: str, weighted: bool = False
+# ---------------------------------------------------------------------------
+# The per-component exact routine
+# ---------------------------------------------------------------------------
+
+#: Witness rows the search may visit on one unit-cost component before
+#: HiGHS takes it over.  Each node filters the component's rows, so the
+#: node limit is this divided by the row count, which bounds the search
+#: time spent on a component that then falls through.  See
+#: docs/solvers.md for how the value was set and where it was measured.
+EXACT_SEARCH_ROWS = 20_000
+
+#: The same budget for cost-weighted components.  Their search runs on
+#: frozensets and sorts the rows for the cost-weighted packing bound at
+#: every node, so a row costs about twice as much to visit, and the
+#: weaker bound closes few large components anyway.  Measured
+#: separately (docs/solvers.md).
+EXACT_SEARCH_ROWS_WEIGHTED = 2_000
+
+
+def _solve_component(
+    component: WitnessComponent, costs=None, backend: Optional[str] = None
+) -> Tuple[Set[int], bool]:
+    """Minimum(-cost) hitting set of one component, and whether HiGHS ran.
+
+    ``backend=None`` is the production rule: the greedy-seeded search
+    of :func:`_bnb_component` under a node limit of
+    ``max(1, EXACT_SEARCH_ROWS // rows)`` (``EXACT_SEARCH_ROWS_WEIGHTED``
+    with ``costs``), and HiGHS (:func:`_ilp_component`) only when that
+    search runs out of nodes.  A search that completes has explored
+    exactly as the unlimited one does, so it returns
+    :func:`_bnb_component`'s set bit for bit.
+    ``"bnb"`` and ``"ilp"`` force one backend with no limit.
+    """
+    if backend == "ilp":
+        return _ilp_component(component, costs=costs), True
+    if backend == "bnb":
+        return _bnb_component(component.sets, costs=costs), False
+    rows = EXACT_SEARCH_ROWS if costs is None else EXACT_SEARCH_ROWS_WEIGHTED
+    best = _search_component(
+        component.sets,
+        costs=costs,
+        node_limit=max(1, rows // len(component.sets)),
+    )
+    if best is not None:
+        return best, False
+    return _ilp_component(component, costs=costs), True
+
+
+def _assemble(
+    ws: WitnessStructure,
+    parts: Iterable[Tuple[Set[int], bool]],
+    backend: Optional[str] = None,
+    weighted: bool = False,
 ) -> ResilienceResult:
-    """Sum per-component optima plus the forced tuples."""
+    """Sum per-component ``(ids, ran_ilp)`` outcomes plus the forced tuples,
+    labelled by :func:`_method_label`."""
     chosen: Set[int] = set(ws.forced_ids)
-    for component in ws.components:
-        chosen |= backend(component)
+    ran_ilp = backend == "ilp"
+    for ids, fell_through in parts:
+        chosen |= ids
+        ran_ilp = ran_ilp or fell_through
     value = ws.cost_of(chosen) if weighted else len(chosen)
-    return ResilienceResult(value, ws.tuples(chosen), method=method)
+    return ResilienceResult(
+        value, ws.tuples(chosen), method=_method_label(ran_ilp)
+    )
+
+
+def _method_label(ran_ilp: bool) -> str:
+    """The exact tier's ``method``: ``"ilp"`` when HiGHS ran for some
+    component (or was forced), ``"branch-and-bound"`` otherwise.  Every
+    path that assembles component outcomes names its answer here."""
+    return "ilp" if ran_ilp else "branch-and-bound"
+
+
+def _solve_structure(
+    ws: WitnessStructure, backend: Optional[str] = None, weighted: bool = False
+) -> ResilienceResult:
+    """:func:`_solve_component` on every component, assembled."""
+    costs = ws.costs if weighted else None
+    return _assemble(
+        ws,
+        (_solve_component(c, costs=costs, backend=backend) for c in ws.components),
+        backend=backend,
+        weighted=weighted,
+    )
 
 
 def resilience_branch_and_bound(
@@ -154,20 +246,15 @@ def resilience_branch_and_bound(
     Consumes the preprocessed witness structure (built, or fetched from
     the cache, when ``structure`` is not supplied; ``index`` is used
     for enumeration on a cache miss) and solves each connected
-    component independently.  With ``weighted=True`` the structure is
-    built cost-aware and the search minimizes the cost sum.
+    component independently with no node limit.  With ``weighted=True``
+    the structure is built cost-aware and the search minimizes the
+    cost sum.
     """
     if structure is None:
         structure = witness_structure(
             database, query, index=index, weighted=weighted
         )
-    costs = structure.costs if weighted else None
-    return _solve_structure(
-        structure,
-        lambda comp: _bnb_component(comp.sets, costs=costs),
-        "branch-and-bound",
-        weighted=weighted,
-    )
+    return _solve_structure(structure, "bnb", weighted=weighted)
 
 
 # ---------------------------------------------------------------------------
@@ -192,38 +279,16 @@ def resilience_ilp(
         structure = witness_structure(
             database, query, index=index, weighted=weighted
         )
-    costs = structure.costs if weighted else None
-    return _solve_structure(
-        structure,
-        lambda comp: _ilp_component(comp, costs=costs),
-        "ilp",
-        weighted=weighted,
-    )
-
-
-def choose_backend(structure: WitnessStructure) -> str:
-    """The ``prefer="auto"`` rule: ``"ilp"`` or ``"bnb"``.
-
-    ILP for larger *reduced* witness structures, branch and bound for
-    small — decided per structure after preprocessing, so instances
-    that kernelize well stay on the cheap pure-Python path.  The single
-    source of truth for every caller that must replicate the automatic
-    choice (the parallel coordinator and the incremental session both
-    assemble per-component results under this rule).
-    """
-    largest = max((len(c.sets) for c in structure.components), default=0)
-    if largest > 60 or structure.stats.tuples_final > 40:
-        return "ilp"
-    return "bnb"
+    return _solve_structure(structure, "ilp", weighted=weighted)
 
 
 def solver_backend_override() -> Optional[str]:
-    """A forced exact backend, or ``None`` for the per-structure rule.
+    """A forced exact backend, or ``None`` for the per-component rule.
 
-    ``REPRO_SOLVER_BACKEND`` (``bnb``/``ilp``) forces one when set;
-    unset, callers fall through to :func:`choose_backend`.  Both
-    backends return optima of equal value (sets may differ), so the
-    override is value-invisible.
+    ``REPRO_SOLVER_BACKEND`` (``bnb``/``ilp``) forces pure unlimited
+    branch and bound or pure HiGHS when set — a test hook: each is the
+    other's reference.  Both return optima of equal value (sets may
+    differ), so the override is value-invisible.
     """
     backend = os.environ.get("REPRO_SOLVER_BACKEND")
     if backend is not None and backend not in ("bnb", "ilp"):
@@ -231,18 +296,6 @@ def solver_backend_override() -> Optional[str]:
             f"REPRO_SOLVER_BACKEND={backend!r} (expected 'bnb' or 'ilp')"
         )
     return backend
-
-
-def effective_backend(structure: WitnessStructure) -> str:
-    """The backend an automatic exact solve will actually run.
-
-    :func:`solver_backend_override` when present, else
-    :func:`choose_backend` — used by :func:`resilience_exact` and by
-    the parallel coordinator, so serial solves, component tasks, and
-    forced configurations always agree.
-    """
-    forced = solver_backend_override()
-    return forced if forced is not None else choose_backend(structure)
 
 
 def resilience_exact(
@@ -253,27 +306,26 @@ def resilience_exact(
     index: Optional[DatabaseIndex] = None,
     weighted: bool = False,
 ) -> ResilienceResult:
-    """Exact resilience, choosing a backend.
+    """Exact resilience, choosing a backend per component.
 
-    ``prefer`` is ``"auto"`` (the :func:`choose_backend` rule),
-    ``"ilp"``, or ``"bnb"``.  ``weighted=True`` minimizes the summed
-    tuple costs instead of the cardinality.
+    ``prefer`` is ``"auto"`` (:func:`_solve_component`'s rule, unless
+    :func:`solver_backend_override` forces a backend), ``"ilp"``, or
+    ``"bnb"``.  ``weighted=True`` minimizes the summed tuple costs
+    instead of the cardinality.
     """
+    if prefer not in ("auto", "ilp", "bnb"):
+        raise ValueError(f"unknown backend preference {prefer!r}")
     ws = (
         structure
         if structure is not None
         else witness_structure(database, query, index=index, weighted=weighted)
     )
+    if prefer == "auto":
+        prefer = solver_backend_override() or "auto"
     if prefer == "ilp":
         return resilience_ilp(database, query, structure=ws, weighted=weighted)
     if prefer == "bnb":
         return resilience_branch_and_bound(
             database, query, structure=ws, weighted=weighted
         )
-    if prefer != "auto":
-        raise ValueError(f"unknown backend preference {prefer!r}")
-    if effective_backend(ws) == "ilp":
-        return resilience_ilp(database, query, structure=ws, weighted=weighted)
-    return resilience_branch_and_bound(
-        database, query, structure=ws, weighted=weighted
-    )
+    return _solve_structure(ws, weighted=weighted)

@@ -175,6 +175,11 @@ class DispatchPlan:
 def dispatch_plan(query: ConjunctiveQuery, weighted: bool = False) -> DispatchPlan:
     """Decide (and cache) how to solve ``query``, per the module doc.
 
+    The plan sees only the query's own exogenous flags.  A caller that
+    holds the database should use :func:`dispatch_plan_for`, which also
+    honours relations the database marks exogenous; the bespoke solvers
+    return wrong answers on such instances otherwise.
+
     The cache key is the query object itself; ``ConjunctiveQuery``
     hashes by canonical signature, so structurally identical queries
     share one plan.  ``weighted=True`` yields the plan for genuinely
@@ -211,6 +216,32 @@ def dispatch_plan(query: ConjunctiveQuery, weighted: bool = False) -> DispatchPl
         return DispatchPlan("flow", flow.solve)
 
     return DispatchPlan("exact")
+
+
+def dispatch_plan_for(
+    database: Database, query: ConjunctiveQuery, weighted: bool = False
+) -> DispatchPlan:
+    """The :func:`dispatch_plan` for ``query`` solved over ``database``.
+
+    A relation the database marks exogenous cannot lose facts whatever
+    the query's atoms say, so it is marked exogenous in the query the
+    plan is chosen for.  The bespoke solvers assume the flags of the
+    query they are registered for, and the flow-safety test counts
+    endogenous repeats: both must see the instance's real flags.  Every
+    dispatch site (:func:`solve`, the bounded modes, and the parallel
+    batch's task builder and shard runner) decides through here.
+    """
+    flags = query.relation_flags()
+    extra = [
+        name
+        for name, exogenous in flags.items()
+        if not exogenous
+        and name in database.relations
+        and database.relations[name].exogenous
+    ]
+    if extra:
+        query = query.with_atoms_exogenous(extra)
+    return dispatch_plan(query, weighted=weighted)
 
 
 def solve(
@@ -309,7 +340,7 @@ def solve(
     if not satisfied:
         return ResilienceResult(0, frozenset(), method="unsatisfied")
 
-    plan = dispatch_plan(query, weighted=effective)
+    plan = dispatch_plan_for(database, query, weighted=effective)
     if plan.kind == "exact":
         return resilience_exact(
             database, query, structure=structure, index=index, weighted=effective
@@ -346,7 +377,7 @@ def _solve_bounded(
             on_interval(0, 0)
         return BoundedResilienceResult(0, 0, frozenset(), method="unsatisfied")
 
-    plan = dispatch_plan(query, weighted=weighted)
+    plan = dispatch_plan_for(database, query, weighted=weighted)
     if plan.kind != "exact":
         exact = plan.run(database)
         if on_interval is not None:

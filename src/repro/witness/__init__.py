@@ -27,7 +27,6 @@ from repro.witness.cache import (
     clear_witness_cache,
     component_cache_key,
     pair_cache_key,
-    peek_witness_structure,
     witness_cache_info,
     witness_structure,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "WitnessStructure",
     "component_cache_key",
     "pair_cache_key",
-    "peek_witness_structure",
     "witness_structure",
     "clear_witness_cache",
     "witness_cache_info",

@@ -99,30 +99,6 @@ def witness_structure(
     return ws
 
 
-def peek_witness_structure(
-    database: Database,
-    query: ConjunctiveQuery,
-    reduce: bool = True,
-    weighted: bool = False,
-) -> Optional[WitnessStructure]:
-    """The cached structure for a pair, or ``None`` — never builds.
-
-    ``repro planner explain`` (:func:`repro.planner.plan_instance`)
-    reads the exact-solver choice through this: a peek must stay cheap and
-    side-effect-free, so it does not count as a hit or miss (the
-    hit/miss deltas are how the batch engine attributes structure
-    builds) and does not refresh LRU recency.
-    """
-    key = (
-        database.canonical_form(),
-        query.canonical_signature(),
-        reduce,
-        weighted,
-    )
-    with _cache_lock:
-        return _cache.get(key)
-
-
 def clear_witness_cache() -> None:
     """Drop every cached structure (and reset the hit/miss counters)."""
     global _hits, _misses
@@ -146,8 +122,12 @@ def witness_cache_info() -> Tuple[int, int, int]:
 # old entries then simply never match and age out.  Schema 2: keys gained
 # the ``weighted`` flag and per-tuple cost text (weighted resilience) —
 # every schema-1 entry is invalidated wholesale rather than risking a
-# unit-cost key colliding with a weighted one.
-CACHE_SCHEMA = 2
+# unit-cost key colliding with a weighted one.  Schema 3: the result
+# stored under an unchanged key changed — dispatch now honours
+# exogenous flags set on the database (schema-2 entries for such
+# instances can hold wrong values or exogenous facts), and exact
+# results carry the per-component solver's sets and method labels.
+CACHE_SCHEMA = 3
 
 
 def _canonical_pair_text(database: Database, query: ConjunctiveQuery) -> str:
@@ -241,8 +221,8 @@ def component_cache_key(
     intervals) are pure functions of the component's witness sets — the
     database and query only matter through them — so the key hashes just
     the sets (as sorted fact reprs, the same process-stable text as
-    :func:`pair_cache_key`), the solving tier, the backend that will run
-    (exact tier only; ``bnb`` and ``ilp`` pick different optimal sets),
+    :func:`pair_cache_key`), the solving tier, the exact backend that will
+    run (``auto``, ``bnb`` and ``ilp`` may pick different optimal sets),
     and :data:`CACHE_SCHEMA`.  :class:`repro.incremental.IncrementalSession`
     keys its per-component store this way, which is what lets witness
     components untouched by an update hit the cache across database

@@ -10,10 +10,12 @@ choice may move time, never answers:
   costs, all three solving tiers) compares the default ``solve()``
   with all 16 forced backend combinations — values and certified
   intervals agree for every combination (distinct backends may witness
-  distinct optimal sets), and the combination
-  :func:`repro.planner.plan_instance` names after the solve is
-  bit-identical to the default, which keeps ``repro planner explain``
-  truthful;
+  distinct optimal sets).  Forcing the join, kernel and flow backends
+  :func:`repro.planner.plan_instance` names reproduces the default bit
+  for bit whenever the forced exact solver cannot change the set: in
+  the bounded modes and under polynomial dispatch (which never reach
+  it), and with the solver forced to ``bnb`` when no component of an
+  exact solve fell through to HiGHS (``method="branch-and-bound"``);
 * serial and parallel batches return bit-identical results;
 * the decisions each layer now makes at its own decision point — the
   component split on endogenous tuples, the columnar join for
@@ -116,10 +118,13 @@ class TestDifferentialMatrix:
 
         clear_witness_cache()
         default = solve(db, query, mode=mode, budget=budget, weighted=weighted)
-        # The cache is now warm, so the plan reads the exact solver the
-        # default run resolved to (or "auto" when none ran).
         plan = plan_instance(db, query, weighted=weighted)
-        chosen = (plan.join, plan.kernel, plan.flow, plan.solver)
+        assert plan.solver == "auto"
+        layers = (plan.join, plan.kernel, plan.flow)
+        hitting_set = mode == "exact" and default.method in (
+            "branch-and-bound",
+            "ilp",
+        )
 
         for combo in FORCED_COMBOS:
             with monkeypatch.context() as forced_env:
@@ -136,10 +141,14 @@ class TestDifferentialMatrix:
                     combo,
                     plan.signature(),
                 )
-            if combo == chosen:
-                # Forcing the combination the plan names reproduces the
-                # default bit for bit: value, witness set, method.
-                assert forced == default, plan.signature()
+            if combo[:3] == layers and (
+                not hitting_set
+                or (default.method == "branch-and-bound" and combo[3] == "bnb")
+            ):
+                # Bit for bit: value, witness set, method.  A search
+                # that completed under its node limit explored exactly
+                # as the unlimited one does.
+                assert forced == default, (combo, plan.signature())
 
     def test_plans_deterministic_across_repeated_calls(self, family, seed):
         db, query = _instance(family, seed, skewed=0)
@@ -152,14 +161,8 @@ class TestDifferentialMatrix:
         warm_a = plan_instance(db, query)
         warm_b = plan_instance(db, query)
         assert warm_a == warm_b
-        # A warm cache may name the exact solver but never flips
-        # another layer's pick.
-        assert (cold_a.join, cold_a.kernel, cold_a.flow, cold_a.split) == (
-            warm_a.join,
-            warm_a.kernel,
-            warm_a.flow,
-            warm_a.split,
-        )
+        # A warm structure cache changes no layer's pick.
+        assert cold_a == warm_a
 
 
 class TestBatchDeterminism:

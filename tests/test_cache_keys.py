@@ -9,7 +9,12 @@ Two regression suites pinned against the same invariants:
   bit-for-bit identical to the pre-rewrite implementation, or every
   persisted result-cache entry silently invalidates.  The hexdigests
   below were captured from the original implementation and are the
-  authoritative values.
+  authoritative values; they were re-captured when ``CACHE_SCHEMA``
+  went from 2 to 3 (the salt is the only input that changed, and
+  ``test_streaming_matches_joined_material`` still pins the derivation).
+
+* **Schema bumps** — an entry a schema-2 store holds is a miss at
+  schema 3, whether looked up by the new key or found under it.
 
 * **Memoization epochs** — ``Database.canonical_form()`` (and
   ``canonical_text``/``content_digest``) must materialize exactly once
@@ -18,14 +23,18 @@ Two regression suites pinned against the same invariants:
   invalidates it.
 """
 
+import pickle
+
 import pytest
 
 from repro.db.database import Database
 from repro.db.tuples import DBTuple
 from repro.query.zoo import ALL_QUERIES
 from repro.resilience.types import Budget
+from repro.witness import cache as cache_module
 from repro.witness.cache import (
     _canonical_pair_text,
+    ResultCache,
     component_cache_key,
     pair_cache_key,
 )
@@ -52,24 +61,24 @@ def _instance_b():
 
 
 class TestGoldenPairKeys:
-    """Keys captured from the pre-streaming implementation."""
+    """Keys captured from the pre-streaming implementation (schema 3)."""
 
     def test_default_parameters(self):
         db, q = _instance_a()
         assert pair_cache_key(db, q) == (
-            "c9e46ca8f2aaf0f7d53cbb8704d9f04f69fcaef12db2bcca37dc10f567fa8b1d"
+            "8872e7dba076bb589a936f99822a8a17153897a3c41bf87d0de967baeddfd2e2"
         )
 
     def test_anytime_with_float_budget(self):
         db, q = _instance_a()
         assert pair_cache_key(db, q, mode="anytime", method=None, budget=2.5) == (
-            "f384e69fcbe7c124deccb9516da309db512632e21473a2b5235ca97fee78be8f"
+            "0550409dbbac6ce8e7e411c5a29692ace887b8b1a4d4fe0ed866e8c79f3cb384"
         )
 
     def test_forced_method(self):
         db, q = _instance_a()
         assert pair_cache_key(db, q, mode="exact", method="flow") == (
-            "e8b739177e7c8a3e426884bdb5015bb8149298e3af043b074dfb78b6515420f0"
+            "19b169690527fabc8da5fb40ec4eaf0258ff15acf39c099b4a0f0002a0a97fc9"
         )
 
     def test_budget_object(self):
@@ -82,16 +91,16 @@ class TestGoldenPairKeys:
             weighted=False,
         )
         assert key == (
-            "b29c578884f171f0bf2d9b7f64efc463273de9866a9854e3c35875553ef17dbf"
+            "d34da8ddc0918945db42c168d4d32a6d39e59c363e0b1a2e8431614e7199afb8"
         )
 
     def test_weighted_instance(self):
         db, q = _instance_b()
         assert pair_cache_key(db, q, weighted=True) == (
-            "1bbce872befd38adcc27eb0a51da168a28a669d66ce92dc33918a289295d78b7"
+            "039a364b3362f1c10a6469bde6d984ed18c9c37dffba14f3c3bdf071bf7ec737"
         )
         assert pair_cache_key(db, q, weighted=False) == (
-            "9ffd769f7537a7c7537a3583788ed3bb439830ebbdc7a7c54bb71f73f75deced"
+            "5eb67cdfaf372a96a1f1e30e2eb6c1459d09c61809edd174ab88c9a71932fa09"
         )
 
     def test_streaming_matches_joined_material(self):
@@ -132,19 +141,50 @@ class TestGoldenComponentKeys:
         s1 = frozenset({DBTuple("R", (1, 2)), DBTuple("R", (2, 3))})
         s2 = frozenset({DBTuple("R", (2, 3)), DBTuple("A", (1,))})
         assert component_cache_key([s1, s2], mode="exact", backend="bnb") == (
-            "4b331b4b59b800a40dfafc8248d918b854b2ca24bfdf9d65163915d9be2e23d5"
+            "b90563d2adc50076d95b708380bee9e4b4889d8ca49d18145ab7887de331f484"
         )
         assert component_cache_key((s2, s1), mode="exact", backend="ilp") == (
-            "3b0202186ff225d1680e7665de7d57825c7a73f0f43412f2b55c5169cb6e4777"
+            "14f58b7a5470b147bb6af09d316b65aa5d9398b1fc3ec246145a5fc46ebec239"
         )
         assert component_cache_key([s1], mode="approx", backend=None) == (
-            "798331a5af3700c235a269291870a84030152ad676ce6d8cd1dd7fbddbad9f54"
+            "9aa8ff46f11bbbfd9754775a23b4e9ba3cbd2523e8ee43a76039b780bfe955b6"
         )
 
     def test_order_insensitive(self):
         s1 = frozenset({DBTuple("R", (1, 2))})
         s2 = frozenset({DBTuple("A", (1,))})
         assert component_cache_key([s1, s2]) == component_cache_key([s2, s1])
+
+
+class TestSchemaTwoEntriesMiss:
+    """Schema 3 changed the result stored under an unchanged key (dispatch
+    honours database-exogenous flags; exact answers carry the
+    per-component solver's sets and labels), so no schema-2 entry may
+    be served."""
+
+    def _exogenous_instance(self):
+        db, q = _instance_a()
+        db.set_exogenous("A")  # the query's A atom is endogenous
+        return db, q
+
+    def test_schema_two_store_is_a_miss(self, tmp_path, monkeypatch):
+        db, q = self._exogenous_instance()
+        with monkeypatch.context() as old:
+            old.setattr(cache_module, "CACHE_SCHEMA", 2)
+            old_key = pair_cache_key(db, q)
+            ResultCache(tmp_path).put(old_key, "stale schema-2 answer")
+            assert ResultCache(tmp_path).get(old_key) is not None
+        new_key = pair_cache_key(db, q)
+        assert new_key != old_key
+        assert ResultCache(tmp_path).get(new_key) is None
+
+    def test_schema_two_payload_under_the_new_key_is_a_miss(self, tmp_path):
+        db, q = self._exogenous_instance()
+        key = pair_cache_key(db, q)
+        cache = ResultCache(tmp_path)
+        with open(cache._path(key), "wb") as handle:
+            pickle.dump((2, key, "stale schema-2 answer"), handle)
+        assert cache.get(key) is None
 
 
 class TestCanonicalFormMemoization:

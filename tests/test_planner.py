@@ -8,9 +8,9 @@ reports the instance's size features.  This module pins
   invariance under active-domain renaming and declaration order (the
   machinery of ``tests/test_properties.py``), and monotonicity of the
   size features under endogenous insertion;
-* that the plan's exact solver appears only once a witness structure
-  is cached, and then agrees with
-  :func:`repro.resilience.exact.choose_backend`;
+* that the plan's exact solver is the backend ``REPRO_SOLVER_BACKEND``
+  forces, or ``"auto"`` (the exact tier picks per component), whether
+  or not a witness structure is cached;
 * environment-variable validation and explicit ``method`` precedence;
 * that serving admission sizes requests by the same endogenous tuple
   count (Definition 1) the features report;
@@ -31,11 +31,7 @@ from repro.db import Database, endogenous_tuple_count
 from repro.planner import extract_features, plan_instance
 from repro.query.evaluation import WITNESS_ESTIMATE_CAP
 from repro.query.zoo import ALL_QUERIES, q_chain, q_a_chain
-from repro.resilience.exact import (
-    choose_backend,
-    effective_backend,
-    solver_backend_override,
-)
+from repro.resilience.exact import solver_backend_override
 from repro.resilience.solver import solve
 from repro.serving.admission import DEFAULT_MAX_EXACT_TUPLES, AdmissionPolicy
 from repro.serving.wire import SolveRequest
@@ -152,12 +148,15 @@ class TestFeatureProperties:
             len(edge_list) ** 2, WITNESS_ESTIMATE_CAP
         )
 
-    def test_solver_appears_only_with_a_cached_structure(self):
+    def test_solver_is_auto_with_or_without_a_cached_structure(
+        self, monkeypatch
+    ):
+        monkeypatch.delenv("REPRO_SOLVER_BACKEND", raising=False)
         db, query = _instance("q_chain", seed=5)
         clear_witness_cache()
         assert plan_instance(db, query).solver == "auto"
-        ws = witness_structure(db, query)
-        assert plan_instance(db, query).solver == choose_backend(ws)
+        witness_structure(db, query)
+        assert plan_instance(db, query).solver == "auto"
 
     def test_cache_peek_does_not_disturb_cache_telemetry(self):
         from repro.witness import witness_cache_info
@@ -174,14 +173,16 @@ class TestFeatureProperties:
 # ---------------------------------------------------------------------------
 
 class TestPrecedence:
-    def test_env_var_beats_the_per_structure_rule(self, monkeypatch):
+    def test_env_var_beats_the_per_component_rule(self, monkeypatch):
         db, query = _instance("q_chain", seed=0)
-        ws = witness_structure(db, query)
+        witness_structure(db, query)
         for forced in ("bnb", "ilp"):
             monkeypatch.setenv("REPRO_SOLVER_BACKEND", forced)
-            assert effective_backend(ws) == forced
+            assert solver_backend_override() == forced
+            assert plan_instance(db, query).solver == forced
         monkeypatch.delenv("REPRO_SOLVER_BACKEND")
-        assert effective_backend(ws) == choose_backend(ws)
+        assert solver_backend_override() is None
+        assert plan_instance(db, query).solver == "auto"
 
     def test_invalid_solver_backend_env_raises(self, monkeypatch):
         monkeypatch.setenv("REPRO_SOLVER_BACKEND", "simplex")
@@ -267,17 +268,21 @@ class TestPlanShape:
         assert payload["endogenous_tuples"] == len(db)
         json.dumps(payload)
 
-    def test_solver_pin_agrees_with_choose_backend(self):
-        """When a structure is cached, the plan's solver is the backend
-        choose_backend derives from it."""
-        for family in ("q_chain", "q_3chain", "q_sj1_rats"):
-            for seed in (0, 3, 11):
-                db, query = _instance(family, seed)
-                clear_witness_cache()
-                ws = witness_structure(db, query)
-                plan = plan_instance(db, query)
-                if ws.satisfied:
-                    assert plan.solver == choose_backend(ws)
+    def test_solver_pin_is_the_forced_backend_or_auto(self, monkeypatch):
+        """The plan's solver never depends on the instance: the exact
+        tier decides per component while it solves."""
+        for forced in (None, "bnb", "ilp"):
+            if forced is None:
+                monkeypatch.delenv("REPRO_SOLVER_BACKEND", raising=False)
+            else:
+                monkeypatch.setenv("REPRO_SOLVER_BACKEND", forced)
+            for family in ("q_chain", "q_3chain", "q_sj1_rats"):
+                for seed in (0, 3, 11):
+                    db, query = _instance(family, seed)
+                    clear_witness_cache()
+                    witness_structure(db, query)
+                    plan = plan_instance(db, query)
+                    assert plan.solver == (forced or "auto")
 
     def test_cli_explain_smoke(self, tmp_path, capsys):
         from repro.cli import main
