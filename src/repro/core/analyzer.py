@@ -46,6 +46,7 @@ from repro.witness import (
     witness_cache_info,
     witness_structure,
 )
+from repro.witness.cache import cacheable
 
 
 @dataclass
@@ -428,6 +429,9 @@ def solve_batch(
     solved by any earlier invocation (same contents, tier, and budget)
     are served from disk, and newly solved ones are written back, so
     repeated CLI / benchmark runs skip solved instances entirely.
+    An interval a wall-clock ``time_limit`` left open is never written
+    back (:func:`~repro.witness.cache.cacheable`): it depends on the
+    machine's load, not only on the key.
 
     ``pool`` accepts a persistent :class:`repro.parallel.WorkerPool` to
     execute on instead of a per-call executor — long-lived callers (the
@@ -537,7 +541,8 @@ def solve_batch(
 
     if cache is not None:
         for key, _db, _query in todo:
-            cache.put(cache_keys[key], unit_results[key])
+            if cacheable(budget, unit_results[key]):
+                cache.put(cache_keys[key], unit_results[key])
 
     results: List[object] = []
     for key in unit_of_pair:

@@ -750,7 +750,10 @@ class IncrementalSession:
             return state.ws
         t0 = time.perf_counter()
         projections = list(state.proj_count)
-        universe = tuple(sorted({t for p in projections for t in p}))
+        # Keyed: a bare sort rebuilds both repr keys on every comparison.
+        universe = tuple(
+            sorted({t for p in projections for t in p}, key=DBTuple.sort_key)
+        )
         index = {t: i for i, t in enumerate(universe)}
         raw = tuple(
             frozenset(index[t] for t in p) for p in projections

@@ -36,7 +36,7 @@ class Plan:
 
     ``solver`` is the backend ``REPRO_SOLVER_BACKEND`` forces
     (``"bnb"``/``"ilp"``), else ``"auto"``: the exact tier then picks
-    per component, running HiGHS only where a node-limited branch and
+    per component, running HiGHS only where a row-budgeted branch and
     bound leaves one open.  ``split`` says whether a parallel exact
     batch shards the instance per witness component.
     """

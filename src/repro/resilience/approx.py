@@ -523,8 +523,10 @@ class _BudgetMeter:
             budget.node_limit if budget.node_limit is not None else None
         )
 
-    def spend_node(self) -> bool:
-        """Charge one branch-and-bound node; False when exhausted."""
+    def spend_node(self, rows: int) -> bool:
+        """Charge one branch-and-bound node holding ``rows`` witness
+        rows (a node budget counts the node, not its rows); False when
+        exhausted."""
         if self.nodes_left is not None:
             if self.nodes_left <= 0:
                 return False
@@ -553,109 +555,117 @@ def _budgeted_bnb(
 ) -> Tuple[int, Set[int], bool]:
     """Branch and bound that certifies a lower bound even when cut short.
 
-    Explores exactly like ``exact._bnb_component`` (smallest unhit
-    witness, sorted branching, disjoint-packing pruning) but charges
-    every expanded node to ``meter``.  When the budget runs out, the
-    bound of each abandoned subtree is recorded: the true optimum is
-    either the incumbent or lies in an abandoned subtree, so
+    The one hitting-set search of the exact and anytime tiers
+    (``exact._bnb_component`` is this search with no limit), seeded
+    with the incumbent ``seed``.  It uses the d-hitting-set *exclusion*
+    branching rule: a node branches on the first of its smallest rows,
+    and its child *i* takes that row's *i*-th tuple (ascending) and
+    forbids the row's earlier tuples, removing them from every row; a
+    row left with no allowed tuple makes the child infeasible.  Every
+    node then takes each tuple that is the last allowed one of some row
+    (unit propagation) before its disjoint-packing bound prunes it and
+    before it is charged to ``meter``, with the rows it holds (a node
+    budget counts nodes; the exact tier's row budget counts rows).
+
+    Siblings partition the hitting sets of their parent's subproblem (a
+    hitting set lies in the child of the first target tuple it
+    contains), and a propagated tuple lies in every hitting set of its
+    node, so no hitting set is explored twice.  When the budget runs
+    out, the bound of each abandoned subtree is recorded: the optimum
+    is either the incumbent or lies in an abandoned subtree, so
     ``min(incumbent, min abandoned bound)`` is a certified lower bound.
 
     Returns ``(lower_bound, incumbent_set, completed)``; when
     ``completed`` is True the incumbent is exactly optimal.
 
     The search runs on Python-int bitmasks over the component's tuple
-    universe (AND/OR/popcount per node) unless ``REPRO_KERNEL_BACKEND``
-    selects the frozenset reference; exploration order, node
-    accounting, incumbents, and bounds are identical either way.
+    universe (:func:`_budgeted_bnb_bitset`) unless the component is
+    tiny, very wide, or ``REPRO_KERNEL_BACKEND`` selects the frozenset
+    reference; exploration order, node accounting, incumbents, and
+    bounds are identical either way.
 
-    With ``costs`` the objective is the cost sum and the search runs a
-    dedicated weighted reference (a bitmask variant would buy nothing:
-    the bound and branch arithmetic is cost lookups either way, and the
-    unit-cost case never reaches here — it delegates to the unweighted
-    path upstream).
+    With ``costs`` the objective is the cost sum and the frozenset
+    search runs with cost sums in place of cardinalities (a bitmask
+    variant would buy nothing: the bound and branch arithmetic is cost
+    lookups either way, and the unit-cost case never reaches here — it
+    delegates to the unweighted path upstream).
     """
-    if costs is not None:
-        return _budgeted_bnb_weighted(sets, seed, meter, costs)
+    if costs is None and len(sets) >= _BNB_BITSET_MIN_SETS:
+        from repro.witness.structure import _kernel_backend
 
-    from repro.witness.structure import _kernel_backend
-
-    if len(sets) >= _BNB_BITSET_MIN_SETS and _kernel_backend() == "bitset":
-        universe = sorted({t for s in sets for t in s})
-        if len(universe) <= _BNB_BITSET_MAX_TUPLES:
-            return _budgeted_bnb_bitset(sets, seed, meter, universe)
-    return _budgeted_bnb_reference(sets, seed, meter)
+        if _kernel_backend() == "bitset":
+            universe = sorted({t for s in sets for t in s})
+            if len(universe) <= _BNB_BITSET_MAX_TUPLES:
+                return _budgeted_bnb_bitset(sets, seed, meter, universe)
+    return _budgeted_bnb_reference(sets, seed, meter, costs)
 
 
-def _budgeted_bnb_weighted(
+def _exclusion_child(
+    rows: List[FrozenSet[int]], take: Optional[int], forbid: Set[int]
+) -> Optional[Tuple[List[FrozenSet[int]], Set[int]]]:
+    """One child of the exclusion rule over ``rows`` (ordered by size).
+
+    Drops the rows ``take`` hits, removes the ``forbid`` tuples from the
+    rest, and unit-propagates.  Returns the rows left, stably re-sorted
+    by size, and the tuples taken (``take`` and the propagated ones), or
+    ``None`` when a row has no allowed tuple left.
+    """
+    kept = []
+    for s in rows:
+        if take in s:
+            continue
+        if not forbid.isdisjoint(s):
+            s = s - forbid
+            if not s:
+                return None
+        kept.append(s)
+    taken = {t for s in kept if len(s) == 1 for t in s}
+    if taken:
+        kept = [s for s in kept if taken.isdisjoint(s)]
+    kept.sort(key=len)
+    if take is not None:
+        taken.add(take)
+    return kept, taken
+
+
+def _budgeted_bnb_reference(
     sets: Sequence[FrozenSet[int]],
     seed: Set[int],
     meter: _BudgetMeter,
-    costs,
+    costs=None,
 ) -> Tuple[int, Set[int], bool]:
-    """The weighted-objective search: same shape as the reference, with
-    cost sums in place of cardinalities for incumbents and bounds."""
+    """The frozenset search: the oracle the bitmask path must match, and
+    with ``costs`` the weighted search (cost sums in place of
+    cardinalities for incumbents and bounds)."""
     best: List = [_ids_cost(seed, costs), set(seed)]
     abandoned: List[int] = [best[0] + 1]  # sentinel above any real bound
 
     def search(
-        remaining: List[FrozenSet[int]], chosen: Set[int], chosen_cost: int
+        rows: List[FrozenSet[int]], chosen: Set[int], chosen_cost: int
     ) -> None:
-        if not remaining:
+        if not rows:
             if chosen_cost < best[0]:
                 best[0] = chosen_cost
                 best[1] = set(chosen)
             return
-        bound = chosen_cost + disjoint_witness_lower_bound(
-            remaining, costs=costs
-        )
+        bound = chosen_cost + disjoint_witness_lower_bound(rows, costs=costs)
         if bound >= best[0]:
             return
-        if not meter.spend_node():
+        if not meter.spend_node(len(rows)):
             abandoned[0] = min(abandoned[0], bound)
             return
-        target = min(remaining, key=len)
-        for t in sorted(target):
-            chosen.add(t)
-            search(
-                [s for s in remaining if t not in s],
-                chosen,
-                chosen_cost + costs[t],
-            )
-            chosen.remove(t)
+        forbid: Set[int] = set()
+        for t in sorted(rows[0]):
+            child = _exclusion_child(rows, t, forbid)
+            forbid.add(t)
+            if child is not None:
+                child_rows, taken = child
+                chosen |= taken
+                search(child_rows, chosen, chosen_cost + _ids_cost(taken, costs))
+                chosen -= taken
 
-    search(list(sets), set(), 0)
-    search = None  # drop the closure's self-reference: no cyclic garbage
-    completed = abandoned[0] > best[0]
-    lower = best[0] if completed else min(best[0], abandoned[0])
-    return lower, best[1], completed
-
-
-def _budgeted_bnb_reference(
-    sets: Sequence[FrozenSet[int]], seed: Set[int], meter: _BudgetMeter
-) -> Tuple[int, Set[int], bool]:
-    """The frozenset search (the oracle the bitmask path must match)."""
-    best: List = [len(seed), set(seed)]
-    abandoned: List[int] = [len(seed) + 1]  # sentinel above any real bound
-
-    def search(remaining: List[FrozenSet[int]], chosen: Set[int]) -> None:
-        if not remaining:
-            if len(chosen) < best[0]:
-                best[0] = len(chosen)
-                best[1] = set(chosen)
-            return
-        bound = len(chosen) + disjoint_witness_lower_bound(remaining)
-        if bound >= best[0]:
-            return
-        if not meter.spend_node():
-            abandoned[0] = min(abandoned[0], bound)
-            return
-        target = min(remaining, key=len)
-        for t in sorted(target):
-            chosen.add(t)
-            search([s for s in remaining if t not in s], chosen)
-            chosen.remove(t)
-
-    search(list(sets), set())
+    rows, taken = _exclusion_child(list(sets), None, set())
+    search(rows, taken, _ids_cost(taken, costs))
     search = None  # drop the closure's self-reference: no cyclic garbage
     completed = abandoned[0] > best[0]
     lower = best[0] if completed else min(best[0], abandoned[0])
@@ -671,41 +681,75 @@ def _budgeted_bnb_bitset(
     """The bitmask mirror of :func:`_budgeted_bnb_reference`.
 
     Tuple ids are remapped to dense local bits (ascending, so every
-    ordering tie-break coincides with the reference), witness sets
-    become int masks, and each node's work — filtering hit witnesses,
-    the disjoint-packing bound, branching on the smallest unhit witness
-    — reduces to AND/OR/popcount.
+    ordering tie-break coincides with the reference) and witness sets
+    become int masks.  A node holds its rows grouped by current size:
+    ``groups[k]`` lists the rows with ``k`` allowed tuples in the
+    reference's order.  A child keeps each row it does not hit in its
+    group without counting it again; only a row that lost a forbidden
+    tuple gets a fresh popcount and is appended to its smaller group,
+    which is exactly where the reference's stable sort puts it.  So the
+    branch target is the head of the smallest group, the packing bound
+    walks the groups in order, and unit rows are found among the
+    re-counted rows alone.
     """
-    local = {t: i for i, t in enumerate(universe)}
+    bit_of = {t: 1 << i for i, t in enumerate(universe)}
     popcount = int.bit_count
-    # Holding the witness list sorted by (popcount, input position) —
-    # an invariant filtering preserves, since masks never shrink —
-    # makes the reference's two order-sensitive steps free: its packing
-    # bound iterates exactly this order (stable sort by size), and its
-    # branch target (first smallest witness in input order) is simply
-    # the head of the list.
-    masks = sorted(
-        (_mask_from_ids(local[t] for t in s) for s in sets), key=popcount
-    )
+    # Distinct powers of two: their sum is their union.
+    masks = [sum(map(bit_of.__getitem__, s)) for s in sets]
+    width = max(map(popcount, masks)) + 1
     best_count = [len(seed)]
     best_set: List[Set[int]] = [set(seed)]
     abandoned = [len(seed) + 1]  # sentinel above any real bound
 
-    def packing_bound(remaining: List[int]) -> int:
+    def exclude(groups: List[List[int]], bit: int, forbid: int):
+        """The rows of the child that takes ``bit`` and forbids
+        ``forbid``, and the child's unit tuples; None when a row has no
+        allowed tuple left."""
+        child: List[List[int]] = [[] for _ in groups]
+        units = 0
+        cut = bit | forbid
+        keep = ~forbid
+        for k in range(2, width):
+            append = child[k].append
+            for mask in groups[k]:
+                if not mask & cut:
+                    append(mask)
+                elif not mask & bit:
+                    mask &= keep
+                    size = popcount(mask)
+                    if size > 1:
+                        child[size].append(mask)
+                    elif size:
+                        units |= mask
+                    else:
+                        return None
+        return child, units
+
+    def settle(groups: List[List[int]], units: int, threshold) -> Optional[int]:
+        """Drop the rows ``units`` hit and pack the rest in group order:
+        the packing size, or None once it reaches ``threshold`` (the
+        node then prunes, whatever the rest of the rows hold)."""
         used = 0
         count = 0
-        for mask in remaining:
-            if not (mask & used):
-                used |= mask
-                count += 1
+        for k in range(2, width):
+            group = groups[k]
+            if units and group:
+                group = groups[k] = [m for m in group if not m & units]
+            for mask in group:
+                if not mask & used:
+                    used |= mask
+                    count += 1
+                    if count >= threshold:
+                        return None
         return count
 
     def search(
-        remaining: List[int], packing: int, chosen: int, n_chosen: int
+        groups: List[List[int]], packing: int, chosen: int, n_chosen: int
     ) -> None:
-        # ``packing`` is packing_bound(remaining), computed by the
-        # parent in the same pass that filtered the list.
-        if not remaining:
+        # ``packing`` is the node's packing bound, computed by the
+        # parent in the pass that dropped the rows its units hit; it is
+        # zero exactly when no row is left.
+        if not packing:
             if n_chosen < best_count[0]:
                 best_count[0] = n_chosen
                 best_set[0] = {universe[i] for i in _iter_bits(chosen)}
@@ -713,50 +757,53 @@ def _budgeted_bnb_bitset(
         bound = n_chosen + packing
         if bound >= best_count[0]:
             return
-        if not meter.spend_node():
+        if not meter.spend_node(sum(map(len, groups))):
             abandoned[0] = min(abandoned[0], bound)
             return
-        target = remaining[0]
-        for i in _iter_bits(target):
-            # A child node prunes (before spending a node or touching
-            # the incumbent/abandoned state) as soon as its packing
-            # bound reaches best - (n_chosen + 1); the partial packing
-            # count only grows, so the moment it crosses the threshold
-            # the recursion can be skipped without building the rest of
-            # the child — outcomes and node accounting are unchanged.
+        k = 2
+        while not groups[k]:
+            k += 1
+        forbid = 0
+        for i in _iter_bits(groups[k][0]):
+            # Every child takes at least one tuple, so once that alone
+            # reaches the incumbent no later sibling can improve on it.
             threshold = best_count[0] - n_chosen - 1
             if threshold <= 0:
                 break
             bit = 1 << i
-            child: List[int] = []
-            append = child.append
-            used = 0
-            count = 0
-            for mask in remaining:
-                if mask & bit:
-                    continue
-                append(mask)
-                if not (mask & used):
-                    used |= mask
-                    count += 1
-                    if count >= threshold:
-                        break
-            else:
-                search(child, count, chosen | bit, n_chosen + 1)
+            child = exclude(groups, bit, forbid)
+            forbid |= bit
+            if child is None:
+                continue
+            child_groups, units = child
+            n_units = popcount(units)
+            # A child prunes (before spending a node or touching the
+            # incumbent/abandoned state) once its partial packing
+            # reaches best - (n_chosen + 1 + n_units): outcomes and node
+            # accounting are those of the reference.
+            if threshold > n_units:
+                packing = settle(child_groups, units, threshold - n_units)
+                if packing is not None:
+                    search(
+                        child_groups,
+                        packing,
+                        chosen | bit | units,
+                        n_chosen + 1 + n_units,
+                    )
 
-    search(masks, packing_bound(masks), 0, 0)
+    groups: List[List[int]] = [[] for _ in range(width)]
+    units = 0
+    for mask in masks:
+        size = popcount(mask)
+        if size == 1:
+            units |= mask
+        else:
+            groups[size].append(mask)
+    search(groups, settle(groups, units, math.inf), units, popcount(units))
     search = None  # drop the closure's self-reference: no cyclic garbage
     completed = abandoned[0] > best_count[0]
     lower = best_count[0] if completed else min(best_count[0], abandoned[0])
     return lower, best_set[0], completed
-
-
-def _mask_from_ids(ids) -> int:
-    """OR together ``1 << i`` for every local id."""
-    mask = 0
-    for i in ids:
-        mask |= 1 << i
-    return mask
 
 
 def _iter_bits(mask: int):

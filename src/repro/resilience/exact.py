@@ -20,8 +20,8 @@ summed:
   (HiGHS), which scales further.
 
 :func:`resilience_exact` combines them per component
-(:func:`_solve_component`): the branch and bound runs first under a
-node limit derived from :data:`EXACT_SEARCH_ROWS`, and HiGHS solves
+(:func:`_solve_component`): the branch and bound runs first within a
+budget of :data:`EXACT_SEARCH_ROWS` witness rows, and HiGHS solves
 only the components that search leaves open.  Most kernels close at
 the search's root, where HiGHS would still pay for presolve, cuts and
 heuristics.
@@ -77,9 +77,11 @@ def is_contingency_set(
 def _bnb_component(sets: Sequence[FrozenSet[int]], costs=None) -> Set[int]:
     """Minimum(-cost) hitting set of one component by branch and bound.
 
-    Branches on the tuples of a smallest currently-unhit witness
-    (deterministic sorted order); prunes with a disjoint-witness lower
-    bound and the greedy incumbent.  The search itself is
+    Branches on a smallest unhit witness by exclusion (child *i* takes
+    its *i*-th tuple and forbids the earlier ones), takes every tuple
+    that is the last allowed one of some witness, and prunes with a
+    disjoint-witness lower bound and the greedy incumbent.  The search
+    itself is
     :func:`repro.resilience.approx._budgeted_bnb` run with an unlimited
     budget — one shared implementation guarantees the anytime tier's
     "unlimited budget equals exact" contract by construction.  With
@@ -90,16 +92,31 @@ def _bnb_component(sets: Sequence[FrozenSet[int]], costs=None) -> Set[int]:
     return best
 
 
+class _RowMeter:
+    """A search budget of witness rows: each node is charged the rows it
+    holds, which is what its children's passes visit.  A node is
+    expanded while any budget is left, so the search always expands the
+    root."""
+
+    def __init__(self, rows: int):
+        self.rows_left = rows
+
+    def spend_node(self, rows: int) -> bool:
+        if self.rows_left <= 0:
+            return False
+        self.rows_left -= rows
+        return True
+
+
 def _search_component(
-    sets: Sequence[FrozenSet[int]], costs=None, node_limit: Optional[int] = None
+    sets: Sequence[FrozenSet[int]], costs=None, row_limit: Optional[int] = None
 ) -> Optional[Set[int]]:
     """The greedy-seeded search of :func:`_bnb_component`, within
-    ``node_limit`` nodes; ``None`` when it runs out of nodes."""
+    ``row_limit`` witness rows (:class:`_RowMeter`); ``None`` when it
+    runs out of rows."""
+    meter = _BudgetMeter(Budget()) if row_limit is None else _RowMeter(row_limit)
     _, best_set, completed = _budgeted_bnb(
-        sets,
-        _greedy_hitting_set(sets, costs=costs),
-        _BudgetMeter(Budget(node_limit=node_limit)),
-        costs=costs,
+        sets, _greedy_hitting_set(sets, costs=costs), meter, costs=costs
     )
     return best_set if completed else None
 
@@ -152,10 +169,10 @@ def _ilp_component(component: WitnessComponent, costs=None) -> Set[int]:
 # ---------------------------------------------------------------------------
 
 #: Witness rows the search may visit on one unit-cost component before
-#: HiGHS takes it over.  Each node filters the component's rows, so the
-#: node limit is this divided by the row count, which bounds the search
-#: time spent on a component that then falls through.  See
-#: docs/solvers.md for how the value was set and where it was measured.
+#: HiGHS takes it over.  Each node is charged the rows it holds (its
+#: children are passes over them), so the budget bounds the search time
+#: spent on a component that then falls through.  See docs/solvers.md
+#: for how the value was set and where it was measured.
 EXACT_SEARCH_ROWS = 20_000
 
 #: The same budget for cost-weighted components.  Their search runs on
@@ -172,11 +189,11 @@ def _solve_component(
     """Minimum(-cost) hitting set of one component, and whether HiGHS ran.
 
     ``backend=None`` is the production rule: the greedy-seeded search
-    of :func:`_bnb_component` under a node limit of
-    ``max(1, EXACT_SEARCH_ROWS // rows)`` (``EXACT_SEARCH_ROWS_WEIGHTED``
-    with ``costs``), and HiGHS (:func:`_ilp_component`) only when that
-    search runs out of nodes.  A search that completes has explored
-    exactly as the unlimited one does, so it returns
+    of :func:`_bnb_component` within a budget of ``EXACT_SEARCH_ROWS``
+    witness rows (``EXACT_SEARCH_ROWS_WEIGHTED`` with ``costs``), each
+    node charged the rows it holds, and HiGHS (:func:`_ilp_component`)
+    only when that search runs out of rows.  A search that completes
+    has explored exactly as the unlimited one does, so it returns
     :func:`_bnb_component`'s set bit for bit.
     ``"bnb"`` and ``"ilp"`` force one backend with no limit.
     """
@@ -185,11 +202,7 @@ def _solve_component(
     if backend == "bnb":
         return _bnb_component(component.sets, costs=costs), False
     rows = EXACT_SEARCH_ROWS if costs is None else EXACT_SEARCH_ROWS_WEIGHTED
-    best = _search_component(
-        component.sets,
-        costs=costs,
-        node_limit=max(1, rows // len(component.sets)),
-    )
+    best = _search_component(component.sets, costs=costs, row_limit=rows)
     if best is not None:
         return best, False
     return _ilp_component(component, costs=costs), True

@@ -20,7 +20,9 @@ mechanisms make that safe and fast under concurrency:
 * **Result caching** — an optional persistent
   :class:`~repro.witness.cache.ResultCache` serves repeat instances
   across server restarts; the in-flight registry handles the window
-  *before* a result lands in the cache.
+  *before* a result lands in the cache.  An interval a wall-clock
+  ``time_limit`` left open (a time-limited anytime request, or a
+  rerouted one) is never stored: it depends on the load.
 
 Transport is pure-stdlib :class:`http.server.ThreadingHTTPServer`
 (one thread per connection) — no third-party event loop is required
@@ -56,7 +58,12 @@ from repro.serving.wire import (
     encode_result,
     query_from_spec,
 )
-from repro.witness.cache import InFlightRegistry, ResultCache, pair_cache_key
+from repro.witness.cache import (
+    InFlightRegistry,
+    ResultCache,
+    cacheable,
+    pair_cache_key,
+)
 
 # Default request-body ceiling: large enough for every benchmark
 # database, small enough that a hostile body cannot exhaust memory.
@@ -235,7 +242,7 @@ class ServingApp:
 
         if not self.coalesce:
             result = self._run_solve(request, decision)
-            self._store(key, result)
+            self._store(key, result, decision.budget)
             return self._respond(result, decision, coalesced=False, cache="miss")
 
         leader, group = self.registry.lease(key)
@@ -248,7 +255,7 @@ class ServingApp:
                 self.registry.fail(key, exc)
                 raise
             self.registry.resolve(key, result)
-            self._store(key, result)
+            self._store(key, result, decision.budget)
             return self._respond(result, decision, coalesced=False, cache="miss")
 
         self.metrics.incr("coalesced_total")
@@ -465,8 +472,10 @@ class ServingApp:
         finally:
             self.metrics.solve_finished()
 
-    def _store(self, key: str, result) -> None:
-        if self.cache is not None:
+    def _store(self, key: str, result, budget) -> None:
+        # An interval a wall-clock limit left open (a time-limited
+        # anytime request, or a reroute) is never served as canonical.
+        if self.cache is not None and cacheable(budget, result):
             self.cache.put(key, result)
 
     def _respond(

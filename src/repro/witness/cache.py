@@ -127,7 +127,11 @@ def witness_cache_info() -> Tuple[int, int, int]:
 # exogenous flags set on the database (schema-2 entries for such
 # instances can hold wrong values or exogenous facts), and exact
 # results carry the per-component solver's sets and method labels.
-CACHE_SCHEMA = 3
+# Schema 4: the hitting-set search branches by exclusion with unit
+# propagation, so under an unchanged key an exact result may carry
+# another optimum on ties or another ``method`` label (more components
+# close before HiGHS), and a node-budgeted anytime interval may differ.
+CACHE_SCHEMA = 4
 
 
 def _canonical_pair_text(database: Database, query: ConjunctiveQuery) -> str:
@@ -208,6 +212,24 @@ def pair_cache_key(
     hasher.update(b"#")
     hasher.update(_canonical_query_text(query).encode())
     return hasher.hexdigest()
+
+
+def cacheable(budget, result) -> bool:
+    """May ``result``, solved under ``budget``, be stored as canonical?
+
+    Not when a wall-clock ``time_limit`` left its interval open: how far
+    an anytime search narrows before its deadline depends on the
+    machine's load, not only on the key.  A closed interval (every exact
+    result, and a time-limited one whose search got there) is the answer
+    an unlimited search returns, and unlimited and node-limited budgets
+    are deterministic, so all of those are stored.
+    """
+    if budget is None or getattr(result, "is_exact", True):
+        return True
+    # Imported here: repro.resilience.types imports this package.
+    from repro.resilience.types import Budget
+
+    return Budget.coerce(budget).time_limit is None
 
 
 def component_cache_key(

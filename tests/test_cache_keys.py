@@ -10,11 +10,12 @@ Two regression suites pinned against the same invariants:
   persisted result-cache entry silently invalidates.  The hexdigests
   below were captured from the original implementation and are the
   authoritative values; they were re-captured when ``CACHE_SCHEMA``
-  went from 2 to 3 (the salt is the only input that changed, and
-  ``test_streaming_matches_joined_material`` still pins the derivation).
+  went from 2 to 3 and from 3 to 4 (the salt is the only input that
+  changed, and ``test_streaming_matches_joined_material`` still pins
+  the derivation).
 
-* **Schema bumps** — an entry a schema-2 store holds is a miss at
-  schema 3, whether looked up by the new key or found under it.
+* **Schema bumps** — an entry a schema-2 or schema-3 store holds is a
+  miss at schema 4, whether looked up by the new key or found under it.
 
 * **Memoization epochs** — ``Database.canonical_form()`` (and
   ``canonical_text``/``content_digest``) must materialize exactly once
@@ -61,24 +62,24 @@ def _instance_b():
 
 
 class TestGoldenPairKeys:
-    """Keys captured from the pre-streaming implementation (schema 3)."""
+    """Keys captured from the pre-streaming implementation (schema 4)."""
 
     def test_default_parameters(self):
         db, q = _instance_a()
         assert pair_cache_key(db, q) == (
-            "8872e7dba076bb589a936f99822a8a17153897a3c41bf87d0de967baeddfd2e2"
+            "a1c41a74d8d9ee33157a987df970141dadd0846a0d1ca4a9ee5b27239ce49528"
         )
 
     def test_anytime_with_float_budget(self):
         db, q = _instance_a()
         assert pair_cache_key(db, q, mode="anytime", method=None, budget=2.5) == (
-            "0550409dbbac6ce8e7e411c5a29692ace887b8b1a4d4fe0ed866e8c79f3cb384"
+            "999bbdf65be6f7c0de509d863630163506ca9b72ee003ef4018f234e72291caa"
         )
 
     def test_forced_method(self):
         db, q = _instance_a()
         assert pair_cache_key(db, q, mode="exact", method="flow") == (
-            "19b169690527fabc8da5fb40ec4eaf0258ff15acf39c099b4a0f0002a0a97fc9"
+            "9d32e34420a722affd244dea51e065106fc7e3be8ba1bc751f10762b942dd37e"
         )
 
     def test_budget_object(self):
@@ -91,16 +92,16 @@ class TestGoldenPairKeys:
             weighted=False,
         )
         assert key == (
-            "d34da8ddc0918945db42c168d4d32a6d39e59c363e0b1a2e8431614e7199afb8"
+            "dde235a1e21cb803450d7a9deaef1520d9b47cba426d8df724593afa8b5741c5"
         )
 
     def test_weighted_instance(self):
         db, q = _instance_b()
         assert pair_cache_key(db, q, weighted=True) == (
-            "039a364b3362f1c10a6469bde6d984ed18c9c37dffba14f3c3bdf071bf7ec737"
+            "7c751b959d4f11a0a33d1e5972bb3c5b8aa32614fa0e871d4eb3c2b697e0de16"
         )
         assert pair_cache_key(db, q, weighted=False) == (
-            "5eb67cdfaf372a96a1f1e30e2eb6c1459d09c61809edd174ab88c9a71932fa09"
+            "ca11c0e1d7eac7c9e328dac4aab028657c9845c2574ddf252f45744e2765c280"
         )
 
     def test_streaming_matches_joined_material(self):
@@ -141,13 +142,13 @@ class TestGoldenComponentKeys:
         s1 = frozenset({DBTuple("R", (1, 2)), DBTuple("R", (2, 3))})
         s2 = frozenset({DBTuple("R", (2, 3)), DBTuple("A", (1,))})
         assert component_cache_key([s1, s2], mode="exact", backend="bnb") == (
-            "b90563d2adc50076d95b708380bee9e4b4889d8ca49d18145ab7887de331f484"
+            "38a79b0f07a8d0b32a7296eb6c35e53b3f99f869cc0362211dd3cdc6fbb10b3f"
         )
         assert component_cache_key((s2, s1), mode="exact", backend="ilp") == (
-            "14f58b7a5470b147bb6af09d316b65aa5d9398b1fc3ec246145a5fc46ebec239"
+            "e00339c9c873f9627b55fea669953c28a80aeb37c159334d3a0a77687bbb1f06"
         )
         assert component_cache_key([s1], mode="approx", backend=None) == (
-            "9aa8ff46f11bbbfd9754775a23b4e9ba3cbd2523e8ee43a76039b780bfe955b6"
+            "15a9a30a12b5cd96ae5cafc9458bbd642d599e824f949c2a459a7e820ba45c9c"
         )
 
     def test_order_insensitive(self):
@@ -156,34 +157,54 @@ class TestGoldenComponentKeys:
         assert component_cache_key([s1, s2]) == component_cache_key([s2, s1])
 
 
-class TestSchemaTwoEntriesMiss:
-    """Schema 3 changed the result stored under an unchanged key (dispatch
-    honours database-exogenous flags; exact answers carry the
-    per-component solver's sets and labels), so no schema-2 entry may
-    be served."""
+def _exogenous_instance():
+    db, q = _instance_a()
+    db.set_exogenous("A")  # the query's A atom is endogenous
+    return db, q, {}
 
-    def _exogenous_instance(self):
-        db, q = _instance_a()
-        db.set_exogenous("A")  # the query's A atom is endogenous
-        return db, q
 
-    def test_schema_two_store_is_a_miss(self, tmp_path, monkeypatch):
-        db, q = self._exogenous_instance()
+def _node_budgeted_instance():
+    db, q = _instance_a()
+    return db, q, {"mode": "anytime", "budget": Budget(node_limit=5)}
+
+
+# Every bump changed the result stored under an unchanged key, so no
+# entry of an older schema may be served.  Each stale schema comes with
+# an instance whose stored answer its bump changed:
+# * 2 -> 3: dispatch honours database-exogenous flags, and exact
+#   answers carry the per-component solver's sets and method labels;
+# * 3 -> 4: the hitting-set search branches by exclusion with unit
+#   propagation, so exact answers may carry another optimum on ties or
+#   another method label, and node-budgeted anytime intervals may
+#   differ.
+STALE_SCHEMAS = [(2, _exogenous_instance), (3, _node_budgeted_instance)]
+
+
+@pytest.mark.parametrize(
+    "schema, instance", STALE_SCHEMAS, ids=lambda v: getattr(v, "__name__", v)
+)
+class TestStaleSchemaEntriesMiss:
+    def test_stale_store_is_a_miss(
+        self, schema, instance, tmp_path, monkeypatch
+    ):
+        db, q, kwargs = instance()
         with monkeypatch.context() as old:
-            old.setattr(cache_module, "CACHE_SCHEMA", 2)
-            old_key = pair_cache_key(db, q)
-            ResultCache(tmp_path).put(old_key, "stale schema-2 answer")
+            old.setattr(cache_module, "CACHE_SCHEMA", schema)
+            old_key = pair_cache_key(db, q, **kwargs)
+            ResultCache(tmp_path).put(old_key, f"stale schema-{schema} answer")
             assert ResultCache(tmp_path).get(old_key) is not None
-        new_key = pair_cache_key(db, q)
+        new_key = pair_cache_key(db, q, **kwargs)
         assert new_key != old_key
         assert ResultCache(tmp_path).get(new_key) is None
 
-    def test_schema_two_payload_under_the_new_key_is_a_miss(self, tmp_path):
-        db, q = self._exogenous_instance()
-        key = pair_cache_key(db, q)
+    def test_stale_payload_under_the_new_key_is_a_miss(
+        self, schema, instance, tmp_path
+    ):
+        db, q, kwargs = instance()
+        key = pair_cache_key(db, q, **kwargs)
         cache = ResultCache(tmp_path)
         with open(cache._path(key), "wb") as handle:
-            pickle.dump((2, key, "stale schema-2 answer"), handle)
+            pickle.dump((schema, key, f"stale schema-{schema} answer"), handle)
         assert cache.get(key) is None
 
 

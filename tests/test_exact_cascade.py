@@ -1,10 +1,11 @@
 """The exact tier's per-component routine: search first, HiGHS for the rest.
 
 :func:`repro.resilience.exact._solve_component` runs the greedy-seeded
-branch and bound of ``_bnb_component`` under a node limit of
-``max(1, EXACT_SEARCH_ROWS // rows)`` (``EXACT_SEARCH_ROWS_WEIGHTED``
-for cost-weighted components) and calls HiGHS only for a component
-whose search runs out of nodes (a *fall-through*).  This module pins
+branch and bound of ``_bnb_component`` within a budget of
+``EXACT_SEARCH_ROWS`` witness rows, each node charged the rows it holds
+(``EXACT_SEARCH_ROWS_WEIGHTED`` for cost-weighted components), and calls
+HiGHS only for a component whose search runs out of rows (a
+*fall-through*).  This module pins
 
 * values: the routine's optimum equals the pure-HiGHS and the pure
   branch-and-bound optimum, with unit and skewed costs, at any budget;
@@ -14,6 +15,8 @@ whose search runs out of nodes (a *fall-through*).  This module pins
   complete and some fall through, the serial solve, the parallel
   component tasks and the incremental session return identical sets
   and method labels, and ``method`` says whether HiGHS ran;
+* that the search closes most dense chain components inside its row
+  budget, so few of them fall through;
 * that probes and searches leave no cyclic garbage behind.
 """
 
@@ -28,13 +31,14 @@ from repro.core import solve_batch
 from repro.db import Database
 from repro.incremental import IncrementalSession
 from repro.query.evaluation import satisfies
-from repro.query.zoo import q_chain
+from repro.query.zoo import q_3chain, q_chain
 from repro.resilience import exact
 from repro.resilience.exact import (
     _bnb_component,
     _ilp_component,
     _search_component,
     _solve_component,
+    resilience_exact,
 )
 from repro.resilience.solver import solve
 from repro.witness import WitnessComponent, clear_witness_cache, witness_structure
@@ -79,8 +83,7 @@ def test_routine_matches_both_backends(system, rows):
     ilp = _ilp_component(component, costs=costs)
     assert all(s & ids for s in component.sets)
     assert _cost(ids, costs) == _cost(bnb, costs) == _cost(ilp, costs)
-    limit = max(1, rows // len(component.sets))
-    completed = _search_component(component.sets, costs, limit) is not None
+    completed = _search_component(component.sets, costs, rows) is not None
     assert ran_ilp == (not completed)
     # A completed search explored exactly as the unlimited one: same
     # set.  A fall-through is HiGHS's optimum.
@@ -96,7 +99,7 @@ def _four_chain_pieces():
     """
     db = Database()
     db.declare("R", 2)
-    for k, n in enumerate((14, 18, 22, 26)):
+    for k, n in enumerate((13, 18, 22, 26)):
         piece = large_random_database(
             [q_chain], n_tuples=n, rng=random.Random(50 + k)
         )
@@ -109,8 +112,7 @@ def _completions(db, rows):
     clear_witness_cache()
     ws = witness_structure(db, q_chain)
     return [
-        _search_component(c.sets, node_limit=max(1, rows // len(c.sets)))
-        is not None
+        _search_component(c.sets, row_limit=rows) is not None
         for c in ws.components
     ]
 
@@ -143,7 +145,7 @@ def unforced(monkeypatch):
 
 def test_mixed_instance_is_identical_on_every_path(monkeypatch, unforced):
     db = _four_chain_pieces()
-    rows = 400
+    rows = 100
     completions = _completions(db, rows)
     assert any(completions) and not all(completions)
     answers = _every_path(db, monkeypatch, rows)
@@ -159,7 +161,7 @@ def test_weighted_mixed_instance_is_identical_serial_and_parallel(
 ):
     db = _four_chain_pieces()
     assign_skewed_costs(db, seed=3)
-    rows = 2000  # cost-weighted searches need more nodes to close
+    rows = 500  # cost-weighted searches need more rows to close
     monkeypatch.setattr(exact, "EXACT_SEARCH_ROWS_WEIGHTED", rows)
     # The unit-cost budget does not govern weighted components.
     monkeypatch.setattr(exact, "EXACT_SEARCH_ROWS", 1)
@@ -168,9 +170,7 @@ def test_weighted_mixed_instance_is_identical_serial_and_parallel(
     expected = set(ws.forced_ids)
     completions = []
     for c in ws.components:
-        best = _search_component(
-            c.sets, ws.costs, max(1, rows // len(c.sets))
-        )
+        best = _search_component(c.sets, ws.costs, rows)
         completions.append(best is not None)
         expected |= best if best is not None else _ilp_component(
             c, costs=ws.costs
@@ -209,6 +209,27 @@ def test_all_complete_is_pure_branch_and_bound(monkeypatch, unforced):
     monkeypatch.setenv("REPRO_SOLVER_BACKEND", "bnb")
     clear_witness_cache()
     assert _answer(solve(db, q_chain)) == answers[0]
+
+
+def test_dense_chain_components_close_before_highs(unforced):
+    """Exclusion branching with unit propagation closes most dense
+    chain components inside the row budget: over 36 random q_chain and
+    q_3chain instances at most 9 solves fall through to HiGHS (18 did
+    when siblings could re-explore the same subsets), and every value
+    is the HiGHS optimum."""
+    fell_through = 0
+    for query, sizes in ((q_chain, (40, 50, 60)), (q_3chain, (25, 30, 35))):
+        for n in sizes:
+            for k in range(6):
+                db = large_random_database(
+                    [query], n_tuples=n, rng=random.Random(k)
+                )
+                clear_witness_cache()
+                result = resilience_exact(db, query)
+                highs = resilience_exact(db, query, prefer="ilp")
+                assert result.value == highs.value
+                fell_through += result.method == "ilp"
+    assert fell_through <= 9
 
 
 def test_probes_and_searches_leave_no_cyclic_garbage(unforced):

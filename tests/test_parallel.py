@@ -217,6 +217,60 @@ class TestResultCache:
             r.contingency_set for r in warm
         ]
 
+    def test_open_time_limited_intervals_are_not_stored(self, tmp_path):
+        """An interval a wall-clock limit left open depends on the load,
+        so a warm rerun solves again instead of serving it."""
+        # Every directed edge on three vertices: the polynomial bounds
+        # give [3, 4] for q_chain and the optimum is 4, so a deadline
+        # that passes before the search's first node leaves it open.
+        db = Database()
+        db.declare("R", 2)
+        for a, b in [(0, 2), (0, 3), (2, 0), (2, 3), (3, 0), (3, 2)]:
+            db.add("R", a, b)
+        pairs = [(db, ALL_QUERIES["q_chain"])]
+        budget = Budget(time_limit=1e-9)
+        cold = solve_batch(
+            pairs, mode="anytime", budget=budget, cache_dir=tmp_path
+        )
+        assert [r.interval for r in cold] == [(3, 4)]
+        warm = solve_batch(
+            pairs, mode="anytime", budget=budget, cache_dir=tmp_path
+        )
+        assert warm.stats.cache_hits == 0
+        assert warm.stats.cache_misses == warm.stats.unique_pairs
+        # A bare number of seconds is the same wall-clock budget.
+        again = solve_batch(
+            pairs, mode="anytime", budget=1e-9, cache_dir=tmp_path
+        )
+        assert again.stats.cache_hits == 0
+
+    def test_closed_time_limited_intervals_are_stored(self, tmp_path):
+        """A closed interval is the unlimited answer whatever the clock,
+        so a time limit does not keep it out of the cache."""
+        pairs = self._pairs()
+        budget = Budget(time_limit=5)
+        cold = solve_batch(
+            pairs, mode="anytime", budget=budget, cache_dir=tmp_path
+        )
+        assert all(r.is_exact for r in cold)
+        warm = solve_batch(
+            pairs, mode="anytime", budget=budget, cache_dir=tmp_path
+        )
+        assert warm.stats.cache_hits == warm.stats.unique_pairs
+        assert [r.interval for r in warm] == [r.interval for r in cold]
+
+    def test_node_limited_anytime_results_are_stored(self, tmp_path):
+        pairs = self._pairs()
+        budget = Budget(node_limit=50)
+        cold = solve_batch(
+            pairs, mode="anytime", budget=budget, cache_dir=tmp_path
+        )
+        warm = solve_batch(
+            pairs, mode="anytime", budget=budget, cache_dir=tmp_path
+        )
+        assert warm.stats.cache_hits == warm.stats.unique_pairs
+        assert [r.interval for r in warm] == [r.interval for r in cold]
+
     def test_warm_parallel_run_matches(self, tmp_path):
         pairs = self._pairs()
         clear_witness_cache()

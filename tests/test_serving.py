@@ -255,6 +255,29 @@ class TestCoalescing:
             assert m2["cache"] == "hit"
             assert r1 == r2 == solve(db, Q_CHAIN)
 
+    def test_open_time_limited_intervals_are_never_served_from_cache(
+        self, tmp_path
+    ):
+        with ResilienceServer(port=0, cache_dir=tmp_path / "cache") as server:
+            c = ServingClient(server.address, timeout=60)
+            # Every directed edge on three vertices: the polynomial
+            # bounds give [3, 4], so a deadline that passes before the
+            # search's first node leaves the interval open.
+            db = Database()
+            db.declare("R", 2)
+            for a, b in [(0, 2), (0, 3), (2, 0), (2, 3), (3, 0), (3, 2)]:
+                db.add("R", a, b)
+            budget = Budget(time_limit=1e-9)
+            r1, m1 = c.solve(db, Q_CHAIN, mode="anytime", budget=budget)
+            r2, m2 = c.solve(db, Q_CHAIN, mode="anytime", budget=budget)
+            assert r1.interval == r2.interval == (3, 4)
+            assert m1["cache"] == m2["cache"] == "miss"
+            # A node limit is deterministic, so its result is stored.
+            nodes = Budget(node_limit=50)
+            _, m3 = c.solve(db, Q_CHAIN, mode="anytime", budget=nodes)
+            _, m4 = c.solve(db, Q_CHAIN, mode="anytime", budget=nodes)
+            assert (m3["cache"], m4["cache"]) == ("miss", "hit")
+
     def test_cache_survives_restart(self, tmp_path):
         db = triangle_db()
         cache_dir = tmp_path / "cache"
@@ -350,6 +373,25 @@ class TestAdmissionControl:
         with ResilienceServer(port=0, policy=policy) as server:
             _, meta = ServingClient(server.address, timeout=60).solve(db, Q_CHAIN)
             assert meta["rerouted"] is False
+
+    def test_rerouted_polynomial_request_is_a_cache_hit(self, tmp_path):
+        """A reroute runs under a time limit, but a query that dispatches
+        to a polynomial solver comes back closed, so its repeat is
+        served from the cache."""
+        policy = AdmissionPolicy(max_exact_tuples=3)
+        q = parse_query("R(x,y), R(x,z)")  # linear flow
+        with ResilienceServer(
+            port=0, policy=policy, cache_dir=tmp_path / "cache"
+        ) as server:
+            c = ServingClient(server.address, timeout=60)
+            db = chain_db(10)
+            r1, m1 = c.solve(db, q)
+            r2, m2 = c.solve(db, q)
+            assert m1["rerouted"] is m2["rerouted"] is True
+            assert m1["budget"]["time_limit"] is not None
+            assert (m1["cache"], m2["cache"]) == ("miss", "hit")
+            assert r1 == r2
+            assert r1.is_exact and r1.value == solve(db, q).value
 
     def test_oversized_anytime_budget_is_clamped(self):
         policy = AdmissionPolicy(
