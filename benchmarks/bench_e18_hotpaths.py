@@ -4,9 +4,11 @@ Three drop-in engine layers replaced the pure-Python hot paths behind
 every tier (PR 5): the columnar witness join (``repro.query.columnar``),
 the bitset hitting-set kernel (``repro.witness.structure`` +
 ``repro.resilience.approx``), and the scipy csgraph flow backbone
-(``repro.resilience.flownet``).  Each keeps the original implementation
-selectable as a reference oracle via ``REPRO_JOIN_BACKEND`` /
-``REPRO_KERNEL_BACKEND`` / ``REPRO_FLOW_BACKEND``.
+(``repro.resilience.flownet``).  The join and the kernel keep the
+original implementation selectable as a reference via
+``REPRO_JOIN_BACKEND`` / ``REPRO_KERNEL_BACKEND``; the flow layer's
+reference is the networkx min cut in ``tests/oracles/flow.py``, which
+the reference runs patch over ``FlowNetwork.min_cut``.
 
 Acceptance gates (the ISSUE/E18 contract), all measured old-path vs
 new-path in the same process on the existing scaling workloads:
@@ -31,6 +33,7 @@ trajectory (``repro bench --json`` emits the same record format; see
 
 import json
 import os
+import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -57,6 +60,9 @@ from repro.workloads import (
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RECORD_PATH = REPO_ROOT / "BENCH_e18_hotpaths.json"
 
+sys.path.insert(0, str(REPO_ROOT / "tests"))
+from oracles.flow import patched_min_cut  # noqa: E402
+
 # Results accumulated across the gate tests; the final test writes the
 # BENCH record from whatever ran.
 RESULTS = {}
@@ -64,12 +70,10 @@ RESULTS = {}
 REFERENCE_ENGINES = {
     "REPRO_JOIN_BACKEND": "reference",
     "REPRO_KERNEL_BACKEND": "reference",
-    "REPRO_FLOW_BACKEND": "networkx",
 }
 NEW_ENGINES = {
     "REPRO_JOIN_BACKEND": "columnar",
     "REPRO_KERNEL_BACKEND": "bitset",
-    "REPRO_FLOW_BACKEND": "csgraph",
 }
 
 
@@ -86,6 +90,13 @@ def _env(overrides):
                 os.environ.pop(key, None)
             else:
                 os.environ[key] = value
+
+
+@contextmanager
+def _reference_engines():
+    """The reference join and kernel, and the networkx min cut."""
+    with _env(REFERENCE_ENGINES), patched_min_cut():
+        yield
 
 
 def _scaling_workload():
@@ -105,7 +116,7 @@ def test_layer_a_structure_construction(benchmark):
     with _env(NEW_ENGINES):
         build_all()  # warm imports (scipy csgraph, numpy ufuncs)
 
-    with _env(REFERENCE_ENGINES):
+    with _reference_engines():
         build_all()  # warm the reference side too
         t0 = time.perf_counter()
         reference = build_all()
@@ -170,7 +181,7 @@ def test_layer_b_bnb_solve(benchmark):
             for db, query, ws in instances
         ]
 
-    with _env(REFERENCE_ENGINES):
+    with _reference_engines():
         solve_all()  # warm
         t0 = time.perf_counter()
         reference = solve_all()
@@ -215,8 +226,8 @@ FLOW_INSTANCES = (
 
 
 def test_layer_c_flow_solves(benchmark):
-    """Gate: ≥2x faster flow-tier solves on the csgraph backbone,
-    values identical."""
+    """Gate: ≥2x faster flow-tier solves on the csgraph backbone than
+    on the networkx oracle, values identical."""
     instances = []
     for name, fn, domain, density in FLOW_INSTANCES:
         query = ALL_QUERIES[name]
@@ -229,7 +240,7 @@ def test_layer_c_flow_solves(benchmark):
     def solve_all():
         return [fn(db).value for db, fn in instances]
 
-    with _env(REFERENCE_ENGINES):
+    with _reference_engines():
         solve_all()  # warm
         t0 = time.perf_counter()
         reference = solve_all()
@@ -289,7 +300,7 @@ def test_answers_bit_identical_across_engines(tmp_path):
         kwargs = {"mode": mode}
         if mode == "anytime":
             kwargs["budget"] = budget
-        with _env(REFERENCE_ENGINES):
+        with _reference_engines():
             clear_witness_cache()
             baseline = solve_batch(pairs, **kwargs)
         runs = {}

@@ -196,10 +196,8 @@ DEFAULT_BENCH_QUERIES = (
 
 
 def _warm_imports() -> None:
-    """Pay one-time library import costs (HiGHS, networkx, csgraph)
-    before timing anything, so whichever strategy runs first is not
-    penalized."""
-    import networkx  # noqa: F401
+    """Pay one-time library import costs (HiGHS, csgraph) before timing
+    anything, so whichever strategy runs first is not penalized."""
     import scipy.optimize  # noqa: F401
     import scipy.sparse  # noqa: F401
     import scipy.sparse.csgraph  # noqa: F401
@@ -208,14 +206,9 @@ def _warm_imports() -> None:
 def _engine_backends() -> dict:
     """The engine backend selection in effect (for ``--json`` records)."""
     from repro.query.columnar import join_backend
-    from repro.resilience.flownet import flow_backend
     from repro.witness.structure import _kernel_backend
 
-    return {
-        "join": join_backend(),
-        "kernel": _kernel_backend(),
-        "flow": flow_backend(),
-    }
+    return {"join": join_backend(), "kernel": _kernel_backend()}
 
 
 def _stats_payload(stats) -> dict:

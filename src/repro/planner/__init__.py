@@ -3,11 +3,11 @@
 Every layer a solve passes through decides its own backend at its own
 decision point: witness enumeration (Section 2) in
 :func:`repro.query.columnar._use_columnar`, kernel reduction in
-:func:`repro.witness.structure._kernel_backend`, the Proposition 31
-min cut in :func:`repro.resilience.flownet.flow_backend`, the
-Theorem 24 exact hitting-set search in
+:func:`repro.witness.structure._kernel_backend`, the Theorem 24
+exact hitting-set search in
 :func:`repro.resilience.exact.solver_backend_override`, and the
 parallel component split in :func:`repro.core.analyzer.split_instance`.
+(The PTIME tier's min cut has one implementation, so it has no entry.)
 :func:`plan_instance` calls exactly those functions for one instance
 and collects their answers in a :class:`Plan`, so ``repro planner
 explain`` reports what a solve would run without restating any
@@ -24,7 +24,6 @@ from repro.query.columnar import _use_columnar
 from repro.query.cq import ConjunctiveQuery
 from repro.planner.features import PlanFeatures, extract_features
 from repro.resilience.exact import solver_backend_override
-from repro.resilience.flownet import flow_backend
 from repro.witness.structure import _kernel_backend
 
 __all__ = ["Plan", "PlanFeatures", "extract_features", "plan_instance"]
@@ -43,7 +42,6 @@ class Plan:
 
     join: str
     kernel: str
-    flow: str
     solver: str
     split: bool
     features: PlanFeatures
@@ -51,7 +49,7 @@ class Plan:
     def signature(self) -> str:
         """A compact, stable label."""
         return (
-            f"join={self.join},kernel={self.kernel},flow={self.flow},"
+            f"join={self.join},kernel={self.kernel},"
             f"solver={self.solver},split={'yes' if self.split else 'no'}"
         )
 
@@ -67,7 +65,6 @@ def plan_instance(
     return Plan(
         join="columnar" if _use_columnar(database) else "reference",
         kernel=_kernel_backend(),
-        flow=flow_backend(),
         solver=solver_backend_override() or "auto",
         split=split_instance(database),
         features=features,

@@ -35,8 +35,9 @@ certified intervals from the same structure.
 The greedy seeding and the disjoint-witness pruning bound used here are
 shared with the approximate tier: see
 :func:`repro.resilience.approx.greedy_hitting_set` and
-:func:`repro.resilience.approx.disjoint_witness_lower_bound` (their
-historical private aliases below keep old imports working).
+:func:`repro.resilience.approx.disjoint_witness_lower_bound` (the
+historical private alias ``_greedy_hitting_set`` below keeps old
+imports working).
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from repro.query.evaluation import DatabaseIndex, satisfies
 from repro.resilience.approx import (
     _BudgetMeter,
     _budgeted_bnb,
-    disjoint_witness_lower_bound as _disjoint_lower_bound,
     greedy_hitting_set as _greedy_hitting_set,
 )
 from repro.resilience.types import Budget, ResilienceResult

@@ -140,7 +140,7 @@ def solve_qAperm(database: Database, weighted: bool = False) -> ResilienceResult
             net.sink_edge(("pair_out", pair))
         for a in touching:
             anode = ("A", a)
-            if not net.graph.has_node(anode):
+            if not net.has_node(anode):
                 a_fact = DBTuple("A", (a,))
                 net.add_unit_edge(
                     anode,
@@ -190,10 +190,10 @@ def solve_qACconf(database: Database) -> ResilienceResult:
             for c in firsts & c_vals:
                 anode = ("A", a)
                 cnode = ("C", c)
-                if not net.graph.has_node(anode):
+                if not net.has_node(anode):
                     net.add_unit_edge(anode, ("A_out", a), payload=DBTuple("A", (a,)))
                     net.source_edge(anode)
-                if not net.graph.has_node(cnode):
+                if not net.has_node(cnode):
                     net.add_unit_edge(cnode, ("C_out", c), payload=DBTuple("C", (c,)))
                     net.sink_edge(("C_out", c))
                 net.add_inf_edge(("A_out", a), cnode)
@@ -243,7 +243,7 @@ def _perm_r_flow(
     for key, payload, a in left_nodes:
         lin = ("left_in", key)
         lout = ("left_out", key)
-        if not net.graph.has_node(lin):
+        if not net.has_node(lin):
             net.add_unit_edge(lin, lout, payload=payload)
             net.source_edge(lin)
         for pair in pairs_containing.get(a, ()):  # a ∈ {u, v}
@@ -369,7 +369,7 @@ def solve_qz3(database: Database) -> ResilienceResult:
         net.source_edge(lnode)
         for b in targets:
             anode = ("A", b)
-            if not net.graph.has_node(anode):
+            if not net.has_node(anode):
                 net.add_unit_edge(anode, ("A_out", b), payload=DBTuple("A", (b,)))
                 net.sink_edge(("A_out", b))
             net.add_inf_edge(("loop_out", a), anode)

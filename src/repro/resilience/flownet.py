@@ -20,50 +20,25 @@ wraps that pattern with the two idioms every construction here needs:
 All capacities are integers — no ``float("inf")``, no float arithmetic,
 no rounding repair on the way out.
 
-Backend selection (``REPRO_FLOW_BACKEND``)
-------------------------------------------
-``csgraph`` (default)
-    Max flow via :func:`scipy.sparse.csgraph.maximum_flow` over interned
-    integer nodes, with the cut extracted by a residual-graph BFS.  This
-    is the hot path: the flow core runs in C.
-``networkx``
-    The original :func:`networkx.minimum_cut` path, kept as the
-    reference oracle.
-
-Both backends return a minimum cut of the *same value* whose cut is
-induced by a residual partition of a maximum flow — hence
-inclusion-minimal, which is exactly the property Lemma 55 needs when
-one tuple appears as several parallel unit edges (callers additionally
-verify that payload deduplication does not shrink the cut).  The
-concrete cut *sets* may differ: ``csgraph`` extracts the source side
-reachable in the residual graph (the unique minimum cut closest to the
-source), while networkx's partition yields the cut closest to the
-sink.  Each backend is individually deterministic; the property suite
-in ``tests/test_flow_backends.py`` checks value equality and cut
-validity/minimality across backends on the full special-solver zoo.
+The network is two insertion-ordered dicts — nodes to dense indices,
+and ``(u, v)`` to ``(capacity, payload)`` — that feed one int64 CSR
+matrix for :func:`scipy.sparse.csgraph.maximum_flow`, so the flow core
+runs in C.  The cut is extracted by a residual-graph BFS: the element
+edges leaving the nodes reachable from the source in the residual graph
+of a maximum flow.  That node set is the same for every maximum flow
+(it is the source side of the unique minimum cut closest to the
+source), so the cut depends on neither the flow algorithm nor the order
+edges are stored in; and, being a minimum cut, it is inclusion-minimal,
+which is exactly the property Lemma 55 needs when one tuple appears as
+several parallel unit edges (callers additionally verify that payload
+deduplication does not shrink the cut).  The test suite checks this
+cut against the reference min cut in ``tests/oracles/flow.py`` on the
+full special-solver zoo.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, Hashable, List, Set, Tuple
-
-import networkx as nx
-
-
-def flow_backend() -> str:
-    """The min-cut backend: ``REPRO_FLOW_BACKEND`` or ``csgraph``.
-
-    Both backends return min cuts of equal value (the certificates may
-    differ — see the module docstring), so the choice is
-    value-invisible.
-    """
-    backend = os.environ.get("REPRO_FLOW_BACKEND", "csgraph")
-    if backend not in ("csgraph", "networkx"):
-        raise ValueError(
-            f"REPRO_FLOW_BACKEND={backend!r} (expected 'csgraph' or 'networkx')"
-        )
-    return backend
+from typing import Dict, Hashable, List, Optional, Tuple
 
 
 class FlowNetwork:
@@ -73,10 +48,17 @@ class FlowNetwork:
     SINK = "__sink__"
 
     def __init__(self):
-        self.graph = nx.DiGraph()
-        self.graph.add_node(self.SOURCE)
-        self.graph.add_node(self.SINK)
-        self._unit_edges: List[Tuple[Hashable, Hashable]] = []
+        # Node -> dense index in insertion order: the row and column
+        # numbering of the capacity matrix.
+        self._nodes: Dict[Hashable, int] = {self.SOURCE: 0, self.SINK: 1}
+        # (u, v) -> (capacity, payload); capacity None is an infinite edge.
+        self._edges: Dict[
+            Tuple[Hashable, Hashable], Tuple[Optional[int], object]
+        ] = {}
+
+    def has_node(self, node: Hashable) -> bool:
+        """Whether ``node`` is a terminal or an endpoint of some edge."""
+        return node in self._nodes
 
     # ------------------------------------------------------------------
     def add_unit_edge(
@@ -88,27 +70,26 @@ class FlowNetwork:
         weighted constructions pass the tuple's cost, so cutting the
         edge charges exactly that cost to the min cut.
 
-        Parallel unit edges between the same node pair are merged by
-        capacity addition in networkx, which would corrupt payload
-        bookkeeping — constructions must use distinct intermediate nodes
-        for distinct payloads (they all do).
+        A second edge between the same node pair is rejected: merging
+        parallel edges would corrupt payload bookkeeping, so
+        constructions must use distinct intermediate nodes for distinct
+        payloads (they all do).
         """
-        if self.graph.has_edge(u, v):
+        if (u, v) in self._edges:
             raise ValueError(f"duplicate edge {u!r} -> {v!r}")
         if not isinstance(capacity, int) or capacity < 1:
             raise ValueError(f"unit-edge capacity must be a positive int, got {capacity!r}")
-        self.graph.add_edge(u, v, capacity=capacity, payload=payload)
-        self._unit_edges.append((u, v))
+        self._add_edge(u, v, capacity, payload)
 
     def add_inf_edge(self, u: Hashable, v: Hashable) -> None:
         """A structural edge that no finite cut uses.
 
         The concrete big-M capacity is materialized at solve time (it
         must exceed the number of unit edges, which is only known then).
+        An edge between an already connected node pair is a no-op.
         """
-        if self.graph.has_edge(u, v):
-            return
-        self.graph.add_edge(u, v, capacity=None, payload=None)
+        if (u, v) not in self._edges:
+            self._add_edge(u, v, None, None)
 
     def source_edge(self, v: Hashable) -> None:
         """Infinite edge from the source."""
@@ -117,6 +98,12 @@ class FlowNetwork:
     def sink_edge(self, u: Hashable) -> None:
         """Infinite edge to the sink."""
         self.add_inf_edge(u, self.SINK)
+
+    def _add_edge(self, u, v, capacity: Optional[int], payload) -> None:
+        for node in (u, v):
+            if node not in self._nodes:
+                self._nodes[node] = len(self._nodes)
+        self._edges[u, v] = (capacity, payload)
 
     # ------------------------------------------------------------------
     def min_cut(self) -> Tuple[int, List]:
@@ -128,71 +115,46 @@ class FlowNetwork:
         value is an exact integer: element edges carry their integer
         capacity (1 unweighted, the tuple cost weighted), and a value
         reaching the big-M bound (an all-infinite s-t path, which the
-        constructions forbid) raises ``RuntimeError``.
-        """
-        if self.graph.out_degree(self.SOURCE) == 0 or self.graph.in_degree(self.SINK) == 0:
-            return 0, []
-        # Strictly above the sum of all finite capacities, so no finite
-        # cut ever prefers an infinite edge — weighted or not.
-        big_m = sum(
-            self.graph.edges[u, v]["capacity"] for u, v in self._unit_edges
-        ) + 1
-        if flow_backend() == "networkx":
-            value, reachable = self._min_cut_networkx(big_m)
-        else:
-            value, reachable = self._min_cut_csgraph(big_m)
-        if value >= big_m:
-            raise RuntimeError("min cut is infinite (all-infinite s-t path)")
-        payloads = []
-        for u, v in self._unit_edges:
-            if u in reachable and v not in reachable:
-                payloads.append(self.graph.edges[u, v]["payload"])
-        # Cut value sums the capacities (= costs) of the cut element edges.
-        return value, payloads
-
-    # ------------------------------------------------------------------
-    def _min_cut_networkx(self, big_m: int) -> Tuple[int, Set[Hashable]]:
-        """The reference backend: networkx ``minimum_cut``."""
-        for _u, _v, data in self.graph.edges(data=True):
-            if data["payload"] is None:
-                data["capacity"] = big_m
-        value, partition = nx.minimum_cut(
-            self.graph, self.SOURCE, self.SINK, capacity="capacity"
-        )
-        reachable, _ = partition
-        return int(value), set(reachable)
-
-    def _min_cut_csgraph(self, big_m: int) -> Tuple[int, Set[Hashable]]:
-        """The C-backed backend: scipy csgraph max flow + residual BFS.
-
-        Nodes are interned to dense integers, capacities go into one
-        int64 CSR matrix, and the source side is recovered as the nodes
-        reachable in the residual matrix ``capacity - flow`` (scipy
-        materializes reverse-flow entries, so positive residuals cover
-        both unsaturated forward edges and undoable flow).
+        constructions forbid) raises ``RuntimeError``.  Payloads come
+        in the order their edges were added.
         """
         import numpy as np
         from scipy.sparse import csr_matrix
         from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
-        nodes = list(self.graph.nodes)
-        index: Dict[Hashable, int] = {node: i for i, node in enumerate(nodes)}
-        n = len(nodes)
-        rows = np.empty(self.graph.number_of_edges(), dtype=np.int64)
-        cols = np.empty_like(rows)
-        caps = np.empty_like(rows)
-        for k, (u, v, data) in enumerate(self.graph.edges(data=True)):
-            rows[k] = index[u]
-            cols[k] = index[v]
-            caps[k] = data["capacity"] if data["payload"] is not None else big_m
-        capacity = csr_matrix((caps, (rows, cols)), shape=(n, n))
-        result = maximum_flow(
-            capacity, index[self.SOURCE], index[self.SINK]
+        index, edges = self._nodes, self._edges
+        source, sink = index[self.SOURCE], index[self.SINK]
+        m = len(edges)
+        rows = np.fromiter((index[u] for u, _ in edges), np.int64, m)
+        cols = np.fromiter((index[v] for _, v in edges), np.int64, m)
+        if not (rows == source).any() or not (cols == sink).any():
+            return 0, []
+        # Strictly above the sum of all finite capacities, so no finite
+        # cut ever prefers an infinite edge — weighted or not.
+        big_m = sum(cap for cap, _ in edges.values() if cap is not None) + 1
+        caps = np.fromiter(
+            (big_m if cap is None else cap for cap, _ in edges.values()),
+            np.int64,
+            m,
         )
+        n = len(index)
+        capacity = csr_matrix((caps, (rows, cols)), shape=(n, n))
+        result = maximum_flow(capacity, source, sink)
+        value = int(result.flow_value)
+        if value >= big_m:
+            raise RuntimeError("min cut is infinite (all-infinite s-t path)")
+        # scipy materializes reverse-flow entries, so positive residuals
+        # cover both unsaturated forward edges and undoable flow.
         residual = capacity - result.flow
         residual.eliminate_zeros()
-        order = breadth_first_order(
-            residual, index[self.SOURCE], directed=True,
-            return_predecessors=False,
+        reached = set(
+            breadth_first_order(
+                residual, source, directed=True, return_predecessors=False
+            ).tolist()
         )
-        return int(result.flow_value), {nodes[i] for i in order}
+        # Cut value sums the capacities (= costs) of the cut element edges.
+        return value, [
+            payload
+            for (u, v), (cap, payload) in edges.items()
+            if cap is not None and index[u] in reached and index[v] not in reached
+        ]

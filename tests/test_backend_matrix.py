@@ -1,21 +1,25 @@
 """Backend equivalence: the default solve against every forced backend.
 
-Each engine layer keeps two interchangeable implementations — the
-witness join (Section 2), the kernel reduction, the Proposition 31 min
-cut, and the Theorem 24 exact hitting-set search — and picks one by
-its own rule unless a ``REPRO_*_BACKEND`` variable forces it.  Backend
-choice may move time, never answers:
+Each engine layer with two interchangeable implementations — the
+witness join (Section 2), the kernel reduction, and the Theorem 24
+exact hitting-set search — picks one by its own rule unless a
+``REPRO_*_BACKEND`` variable forces it.  (The Proposition 31 min cut
+has one implementation; its networkx oracle is patched in once per
+instance instead.)  Backend choice may move time, never answers:
 
 * a differential matrix (8 query families x 13 seeds, unit and skewed
   costs, all three solving tiers) compares the default ``solve()``
-  with all 16 forced backend combinations — values and certified
+  with all 8 forced backend combinations — values and certified
   intervals agree for every combination (distinct backends may witness
-  distinct optimal sets).  Forcing the join, kernel and flow backends
+  distinct optimal sets).  Under polynomial dispatch every combination
+  reproduces the default bit for bit, since no forced layer is on the
+  flow path.  Otherwise, forcing the join and kernel backends
   :func:`repro.planner.plan_instance` names reproduces the default bit
   for bit whenever the forced exact solver cannot change the set: in
-  the bounded modes and under polynomial dispatch (which never reach
-  it), and with the solver forced to ``bnb`` when no component of an
-  exact solve fell through to HiGHS (``method="branch-and-bound"``);
+  the bounded modes (which never reach it), and with the solver forced
+  to ``bnb`` when no component of an exact solve fell through to HiGHS
+  (``method="branch-and-bound"``).  With the oracle's min cut in place
+  of the engine's, every instance keeps its value and interval;
 * serial and parallel batches return bit-identical results;
 * the decisions each layer now makes at its own decision point — the
   component split on endogenous tuples, the columnar join for
@@ -27,6 +31,7 @@ import itertools
 import pytest
 
 import repro.parallel
+from oracles.flow import patched_min_cut
 from repro.core import solve_batch
 from repro.db import Database
 from repro.parallel import PairTask
@@ -61,7 +66,6 @@ FORCED_COMBOS = tuple(
     itertools.product(
         ("columnar", "reference"),  # join
         ("bitset", "reference"),    # kernel
-        ("csgraph", "networkx"),    # flow
         ("bnb", "ilp"),             # solver
     )
 )
@@ -87,18 +91,25 @@ def _mode_of(family, seed, skewed):
     return MODES[(FAMILIES.index(family) + seed + skewed) % len(MODES)]
 
 
-def _force(monkeypatch, join, kernel, flow, solver_backend):
+def _force(monkeypatch, join, kernel, solver_backend):
     """Force one backend combination."""
     monkeypatch.setenv("REPRO_JOIN_BACKEND", join)
     monkeypatch.setenv("REPRO_KERNEL_BACKEND", kernel)
-    monkeypatch.setenv("REPRO_FLOW_BACKEND", flow)
     monkeypatch.setenv("REPRO_SOLVER_BACKEND", solver_backend)
+
+
+def _polynomial(method):
+    """Whether a result came from polynomial (flow) dispatch."""
+    return method.startswith("flow:") or method in (
+        "linear-flow",
+        "weighted-linear-flow",
+    )
 
 
 @pytest.fixture(autouse=True)
 def _unforced(monkeypatch):
     """Every test starts from the layers' own rules."""
-    for layer in ("JOIN", "KERNEL", "FLOW", "SOLVER"):
+    for layer in ("JOIN", "KERNEL", "SOLVER"):
         monkeypatch.delenv(f"REPRO_{layer}_BACKEND", raising=False)
 
 
@@ -120,7 +131,7 @@ class TestDifferentialMatrix:
         default = solve(db, query, mode=mode, budget=budget, weighted=weighted)
         plan = plan_instance(db, query, weighted=weighted)
         assert plan.solver == "auto"
-        layers = (plan.join, plan.kernel, plan.flow)
+        layers = (plan.join, plan.kernel)
         hitting_set = mode == "exact" and default.method in (
             "branch-and-bound",
             "ilp",
@@ -141,14 +152,26 @@ class TestDifferentialMatrix:
                     combo,
                     plan.signature(),
                 )
-            if combo[:3] == layers and (
-                not hitting_set
-                or (default.method == "branch-and-bound" and combo[3] == "bnb")
+            if _polynomial(default.method) or (
+                combo[:2] == layers
+                and (
+                    not hitting_set
+                    or (default.method == "branch-and-bound" and combo[2] == "bnb")
+                )
             ):
                 # Bit for bit: value, witness set, method.  A search
                 # that completed under its node limit explored exactly
                 # as the unlimited one does.
                 assert forced == default, (combo, plan.signature())
+
+        # The networkx cut may pick another minimum set, never another
+        # value or interval.
+        with patched_min_cut():
+            clear_witness_cache()
+            oracle = solve(db, query, mode=mode, budget=budget, weighted=weighted)
+        assert oracle.value == default.value
+        if mode != "exact":
+            assert oracle.interval == default.interval
 
     def test_plans_deterministic_across_repeated_calls(self, family, seed):
         db, query = _instance(family, seed, skewed=0)

@@ -165,13 +165,14 @@ def test_readme_links_the_new_pages(page):
 
 
 def test_performance_page_documents_the_engine_knobs():
-    """docs/performance.md must name every backend selector and the
-    benchmark trajectory it teaches readers to refresh."""
+    """docs/performance.md must name every backend selector, the min
+    cut's reference oracle, and the benchmark trajectory it teaches
+    readers to refresh."""
     page = (REPO_ROOT / "docs" / "performance.md").read_text()
     for needle in (
         "REPRO_JOIN_BACKEND",
         "REPRO_KERNEL_BACKEND",
-        "REPRO_FLOW_BACKEND",
+        "tests/oracles/flow.py",
         "REPRO_SOLVER_BACKEND",
         "MIN_TUPLES_DEFAULT",
         "REPRO_COLUMNAR_CHUNK_ROWS",

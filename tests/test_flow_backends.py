@@ -1,20 +1,22 @@
-"""The csgraph flow backbone against the networkx reference.
+"""The csgraph min cut against the networkx reference oracle.
 
 The paper's PTIME algorithms (Propositions 12, 13, 31, 33, 36, 41, 44)
-reduce resilience to s-t min cut; ``REPRO_FLOW_BACKEND`` selects
-between scipy's C-backed :func:`~scipy.sparse.csgraph.maximum_flow`
-(default) and the original networkx path.  The contract checked here:
-equal cut *values* everywhere, and every returned cut is a valid,
+reduce resilience to s-t min cut, which :class:`FlowNetwork` computes
+with scipy's C-backed :func:`~scipy.sparse.csgraph.maximum_flow`.
+Each check here runs a construction twice, once as shipped
+(``"csgraph"``) and once with :func:`oracles.flow.networkx_min_cut` in
+place of ``FlowNetwork.min_cut`` (``"networkx"``).  The contract: equal
+cut *values* everywhere, and every returned cut is a valid,
 inclusion-minimal contingency set (the Lemma 55 property) — the
-concrete sets may differ, since the backends extract different (equally
+concrete sets may differ, since the two extract different (equally
 minimal) residual cuts.
 """
 
-import os
-from contextlib import contextmanager
+from contextlib import nullcontext
 
 import pytest
 
+from oracles.flow import patched_min_cut
 from repro.query.zoo import ALL_QUERIES
 from repro.resilience.exact import is_contingency_set, resilience_exact
 from repro.resilience.flow_linear import LinearFlowSolver
@@ -27,7 +29,7 @@ from repro.resilience.flow_special import (
     solve_qTS3conf,
     solve_qz3,
 )
-from repro.resilience.flownet import FlowNetwork, flow_backend
+from repro.resilience.flownet import FlowNetwork
 from repro.witness import clear_witness_cache
 from repro.workloads import random_database_for_query
 
@@ -53,17 +55,9 @@ LINEAR_QUERIES = (
 )
 
 
-@contextmanager
 def _backend(name):
-    old = os.environ.get("REPRO_FLOW_BACKEND")
-    os.environ["REPRO_FLOW_BACKEND"] = name
-    try:
-        yield
-    finally:
-        if old is None:
-            os.environ.pop("REPRO_FLOW_BACKEND", None)
-        else:
-            os.environ["REPRO_FLOW_BACKEND"] = old
+    """The shipped cut, or the oracle patched over it."""
+    return patched_min_cut() if name == "networkx" else nullcontext()
 
 
 def _assert_minimal_contingency(database, query, result):
@@ -145,7 +139,7 @@ class TestFlowNetworkBackends:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_infinite_path_raises(self, backend):
         """Big-M detection: an all-infinite s-t path is a construction
-        bug and must raise, on both backends."""
+        bug and must raise, in the engine and the oracle alike."""
         with _backend(backend):
             net = FlowNetwork()
             net.source_edge("a")
@@ -166,9 +160,9 @@ class TestFlowNetworkBackends:
             value, payloads = net.min_cut()
         assert value == 5 and type(value) is int
         assert sorted(payloads) == [0, 1, 2, 3, 4]
-        for _u, _v, data in net.graph.edges(data=True):
-            if data["payload"] is not None:
-                assert data["capacity"] == 1 and type(data["capacity"]) is int
+        for capacity, payload in net._edges.values():
+            if payload is not None:
+                assert capacity == 1 and type(capacity) is int
 
     def test_csgraph_cut_is_source_minimal(self):
         """csgraph extracts the cut closest to the source (the unique
@@ -182,13 +176,14 @@ class TestFlowNetworkBackends:
             net.sink_edge("y_out")
             assert net.min_cut() == (1, ["near"])
 
-    def test_backend_default_and_validation(self):
-        old = os.environ.pop("REPRO_FLOW_BACKEND", None)
-        try:
-            assert flow_backend() == "csgraph"
-        finally:
-            if old is not None:
-                os.environ["REPRO_FLOW_BACKEND"] = old
-        with _backend("typo"):
-            with pytest.raises(ValueError):
-                flow_backend()
+    def test_oracle_cut_is_sink_minimal(self):
+        """The oracle's partition yields the cut closest to the sink, so
+        the two cuts can differ while agreeing in value."""
+        with _backend("networkx"):
+            net = FlowNetwork()
+            net.source_edge("x_in")
+            net.add_unit_edge("x_in", "x_out", payload="near")
+            net.add_inf_edge("x_out", "y_in")
+            net.add_unit_edge("y_in", "y_out", payload="far")
+            net.sink_edge("y_out")
+            assert net.min_cut() == (1, ["far"])

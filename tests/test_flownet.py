@@ -1,5 +1,10 @@
 """Tests for the flow-network helper."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.resilience.flownet import FlowNetwork
@@ -66,7 +71,7 @@ class TestFlowNetwork:
         net = FlowNetwork()
         net.add_inf_edge("u", "v")
         net.add_inf_edge("u", "v")
-        assert net.graph.number_of_edges() == 1
+        assert len(net._edges) == 1
 
     def test_series_cuts_pay_once(self):
         """With two equal unit cuts in series, exactly one is charged."""
@@ -79,3 +84,45 @@ class TestFlowNetwork:
         value, payloads = net.min_cut()
         assert value == 1
         assert payloads in (["near"], ["far"])
+
+
+# A fresh interpreter imports the package the way the CLI and the server
+# do and solves through both kinds of min cut: the bespoke Proposition 13
+# network (q_Aperm), next to q_perm's closed form, and the linear flow
+# (q_lin).
+_NO_NETWORKX_CHILD = """\
+import sys
+import repro, repro.core, repro.serving
+from repro import solve
+from repro.query.zoo import ALL_QUERIES
+from repro.workloads import random_database_for_query
+
+for name, method in (
+    ("q_perm", "flow:q_perm"),
+    ("q_Aperm", "flow:q_Aperm"),
+    ("q_lin", "linear-flow"),
+):
+    query = ALL_QUERIES[name]
+    db = random_database_for_query(query, domain_size=5, density=0.5, seed=0)
+    result = solve(db, query)
+    assert result.method == method and result.value > 0, (name, result)
+sys.exit("networkx" in sys.modules)
+"""
+
+
+def test_solving_never_imports_networkx():
+    """The min cut runs on scipy alone: networkx stays out of a process
+    that imports repro, repro.core and repro.serving and solves through
+    the flow tier."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    existing = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = src if not existing else f"{src}{os.pathsep}{existing}"
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_NETWORKX_CHILD],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr or "networkx was imported"

@@ -256,13 +256,13 @@ class TestAdmissionSizing:
 
 class TestPlanShape:
     def test_plan_signature_and_features_are_stable(self, monkeypatch):
-        for layer in ("JOIN", "KERNEL", "FLOW", "SOLVER"):
+        for layer in ("JOIN", "KERNEL", "SOLVER"):
             monkeypatch.delenv(f"REPRO_{layer}_BACKEND", raising=False)
         db, query = _instance("q_chain", seed=10)
         clear_witness_cache()
         plan = plan_instance(db, query)
         assert plan.signature() == (
-            "join=reference,kernel=bitset,flow=csgraph,solver=auto,split=no"
+            "join=reference,kernel=bitset,solver=auto,split=no"
         )
         payload = plan.features.as_dict()
         assert payload["endogenous_tuples"] == len(db)

@@ -7,11 +7,13 @@ with itself:
 * **kernels** — the frozenset reference and the bitset matrix kernel
   (``REPRO_KERNEL_BACKEND``) must produce identical weighted results
   (value, contingency set, method) in every mode;
-* **flow backends** — networkx and scipy csgraph min-cut
-  (``REPRO_FLOW_BACKEND``) must produce equal weighted *values* with
-  valid certificates paying exactly that value (minimum cuts are not
-  unique, so the sets may legitimately differ — the same caveat as the
-  unweighted tier, see ``docs/api.md``);
+* **min cut** — the scipy csgraph cut and the networkx oracle
+  (:func:`oracles.flow.networkx_min_cut`, patched over
+  ``FlowNetwork.min_cut``) must produce equal weighted *values* with
+  valid, inclusion-minimal certificates paying exactly that value
+  (minimum cuts are not unique, so the sets may legitimately differ —
+  the same caveat as the unweighted tier, see
+  ``tests/test_flow_backends.py``);
 * **solver tiers** — branch-and-bound and the ILP oracle must agree
   exactly, and the LP/greedy approx bounds must enclose the optimum;
 * **execution plans** — ``solve_batch`` over the matrix must return
@@ -28,6 +30,7 @@ from contextlib import contextmanager
 
 import pytest
 
+from oracles.flow import patched_min_cut
 from repro.core.analyzer import solve_batch
 from repro.query.zoo import ALL_QUERIES
 from repro.resilience.approx import greedy_hitting_set
@@ -117,7 +120,8 @@ class TestKernelBackendsAgreeWeighted:
 class TestFlowBackendsAgreeWeighted:
     def test_networkx_and_csgraph_values_equal(self):
         """Every flow-routed instance of the matrix: equal min-cost
-        values, both certificates valid and paying exactly the value."""
+        values, both certificates valid, inclusion-minimal and paying
+        exactly the value."""
         flow_cases = 0
         for name in _matrix_queries():
             query = ALL_QUERIES[name]
@@ -125,19 +129,23 @@ class TestFlowBackendsAgreeWeighted:
                 continue
             for seed in range(SEEDS_PER_QUERY):
                 db, query = _instance(name, seed)
-                results = {}
-                for backend in ("networkx", "csgraph"):
-                    with _env(REPRO_FLOW_BACKEND=backend):
-                        clear_witness_cache()
-                        results[backend] = _weighted_exact(db, query)
-                a, b = results["networkx"], results["csgraph"]
+                clear_witness_cache()
+                b = _weighted_exact(db, query)
+                with patched_min_cut():
+                    clear_witness_cache()
+                    a = _weighted_exact(db, query)
                 if a is None or b is None:
                     assert a is None and b is None, (name, seed)
                     continue
                 assert a.value == b.value, (name, seed)
                 for res in (a, b):
-                    assert db.total_cost(res.contingency_set) == res.value
-                    assert is_contingency_set(db, query, res.contingency_set)
+                    gamma = res.contingency_set
+                    assert db.total_cost(gamma) == res.value
+                    assert is_contingency_set(db, query, gamma)
+                    for fact in gamma:
+                        assert not is_contingency_set(
+                            db, query, gamma - {fact}
+                        ), (name, seed, fact)
                 flow_cases += 1
         assert flow_cases > 0
 
