@@ -5,10 +5,10 @@ every tier (PR 5): the columnar witness join (``repro.query.columnar``),
 the bitset hitting-set kernel (``repro.witness.structure`` +
 ``repro.resilience.approx``), and the scipy csgraph flow backbone
 (``repro.resilience.flownet``).  The join and the kernel keep the
-original implementation selectable as a reference via
-``REPRO_JOIN_BACKEND`` / ``REPRO_KERNEL_BACKEND``; the flow layer's
-reference is the networkx min cut in ``tests/oracles/flow.py``, which
-the reference runs patch over ``FlowNetwork.min_cut``.
+original implementation as a reference, which the reference runs force
+through ``forced_engines`` in ``tests/oracles/engines.py``; the flow
+layer's reference is the networkx min cut in ``tests/oracles/flow.py``,
+which the reference runs patch over ``FlowNetwork.min_cut``.
 
 Acceptance gates (the ISSUE/E18 contract), all measured old-path vs
 new-path in the same process on the existing scaling workloads:
@@ -32,7 +32,6 @@ trajectory (``repro bench --json`` emits the same record format; see
 """
 
 import json
-import os
 import sys
 import time
 from contextlib import contextmanager
@@ -61,42 +60,24 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 RECORD_PATH = REPO_ROOT / "BENCH_e18_hotpaths.json"
 
 sys.path.insert(0, str(REPO_ROOT / "tests"))
+from oracles.engines import forced_engines  # noqa: E402
 from oracles.flow import patched_min_cut  # noqa: E402
 
 # Results accumulated across the gate tests; the final test writes the
 # BENCH record from whatever ran.
 RESULTS = {}
 
-REFERENCE_ENGINES = {
-    "REPRO_JOIN_BACKEND": "reference",
-    "REPRO_KERNEL_BACKEND": "reference",
-}
-NEW_ENGINES = {
-    "REPRO_JOIN_BACKEND": "columnar",
-    "REPRO_KERNEL_BACKEND": "bitset",
-}
-
-
-@contextmanager
-def _env(overrides):
-    old = {key: os.environ.get(key) for key in overrides}
-    try:
-        for key, value in overrides.items():
-            os.environ[key] = value
-        yield
-    finally:
-        for key, value in old.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
-
 
 @contextmanager
 def _reference_engines():
     """The reference join and kernel, and the networkx min cut."""
-    with _env(REFERENCE_ENGINES), patched_min_cut():
+    with forced_engines(join="reference", kernel="reference"), patched_min_cut():
         yield
+
+
+def _new_engines():
+    """The vectorized join at every size, and the kernel's own rule."""
+    return forced_engines(join="columnar")
 
 
 def _scaling_workload():
@@ -113,7 +94,7 @@ def test_layer_a_structure_construction(benchmark):
     def build_all():
         return [WitnessStructure.build(db, q) for q in queries]
 
-    with _env(NEW_ENGINES):
+    with _new_engines():
         build_all()  # warm imports (scipy csgraph, numpy ufuncs)
 
     with _reference_engines():
@@ -122,7 +103,7 @@ def test_layer_a_structure_construction(benchmark):
         reference = build_all()
         t_reference = time.perf_counter() - t0
 
-    with _env(NEW_ENGINES):
+    with _new_engines():
         reset_backend_counters()
         engine = benchmark(build_all)
         counters = backend_counters()
@@ -187,7 +168,7 @@ def test_layer_b_bnb_solve(benchmark):
         reference = solve_all()
         t_reference = time.perf_counter() - t0
 
-    with _env(NEW_ENGINES):
+    with _new_engines():
         engine = benchmark(solve_all)
     t_engine = benchmark.stats.stats.min
 
@@ -246,7 +227,7 @@ def test_layer_c_flow_solves(benchmark):
         reference = solve_all()
         t_reference = time.perf_counter() - t0
 
-    with _env(NEW_ENGINES):
+    with _new_engines():
         engine = benchmark(solve_all)
     t_engine = benchmark.stats.stats.min
 
@@ -304,7 +285,7 @@ def test_answers_bit_identical_across_engines(tmp_path):
             clear_witness_cache()
             baseline = solve_batch(pairs, **kwargs)
         runs = {}
-        with _env(NEW_ENGINES):
+        with _new_engines():
             cache_dir = tmp_path / mode
             for label, extra in (
                 ("serial", {}),

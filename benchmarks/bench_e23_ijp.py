@@ -4,9 +4,9 @@ rediscovery, resume.
 The Appendix C.2 search (:mod:`repro.ijp`) enumerates set partitions of
 ``k`` canonical query copies and runs the Definition 48 checker over
 each merged database.  The distributed engine replaces the recursive
-one-partition-at-a-time walk (kept as
-:func:`repro.ijp.search.ijp_search_reference`) with restricted-growth-
-string batches over numpy, sound prefix pruning, vectorized leaf
+one-partition-at-a-time walk (kept as the test oracle
+``ijp_search_reference`` in ``tests/oracles/ijp.py``) with
+restricted-growth-string batches over numpy, sound prefix pruning, vectorized leaf
 screens, and an exact hitting-set prescreen for condition 5 — then
 shards the space into worker-independent lexicographic ranges with
 per-shard checkpoints.
@@ -40,6 +40,7 @@ an artifact.
 import itertools
 import json
 import os
+import sys
 import time
 from pathlib import Path
 
@@ -48,13 +49,15 @@ import pytest
 import repro
 from repro.ijp.checker import check_ijp, find_ijp_pair
 from repro.ijp.rgs import bell_number
-from repro.ijp.search import _merge_copies, set_partitions
 from repro.ijp.sweep import certificate_is_proper, sweep_range
 from repro.query.evaluation import satisfies
 from repro.query.zoo import q_triangle
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RECORD_PATH = REPO_ROOT / "BENCH_e23_ijp.json"
+
+sys.path.insert(0, str(REPO_ROOT / "tests"))
+from oracles.ijp import merge_copies, set_partitions  # noqa: E402
 
 COPIES = max(2, int(os.environ.get("REPRO_BENCH_E23_COPIES", "3")))
 WORKERS = max(2, int(os.environ.get("REPRO_BENCH_E23_WORKERS", "2")))
@@ -85,7 +88,7 @@ def _reference_partitions_per_second(k: int, limit: int) -> dict:
     ):
         checked += 1
         started = time.perf_counter()
-        db = _merge_copies(q_triangle, k, partition)
+        db = merge_copies(q_triangle, k, partition)
         if satisfies(db, q_triangle):
             find_ijp_pair(db, q_triangle)
         seconds += time.perf_counter() - started

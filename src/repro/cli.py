@@ -203,14 +203,6 @@ def _warm_imports() -> None:
     import scipy.sparse.csgraph  # noqa: F401
 
 
-def _engine_backends() -> dict:
-    """The engine backend selection in effect (for ``--json`` records)."""
-    from repro.query.columnar import join_backend
-    from repro.witness.structure import _kernel_backend
-
-    return {"join": join_backend(), "kernel": _kernel_backend()}
-
-
 def _stats_payload(stats) -> dict:
     """A :class:`~repro.core.analyzer.BatchStats` as plain JSON data."""
     r = stats.reductions
@@ -254,7 +246,6 @@ def _write_bench_json(path: str, payload: dict) -> None:
         "schema": 1,
         "bench": "repro-bench-cli",
         "version": repro.__version__,
-        "backends": _engine_backends(),
         "join_backend_counters": backend_counters(),
     }
     record.update(payload)
@@ -555,9 +546,9 @@ def cmd_planner_explain(args) -> int:
         print(f"  {name}: {value}")
     print(f"plan: {plan.signature()}")
     print(
-        "note: solver=auto is decided per witness component (branch and "
-        "bound first, HiGHS for what it leaves open); REPRO_*_BACKEND env "
-        "vars override each layer"
+        "note: the kernel and the exact solver are decided while solving "
+        "(the exact tier per witness component: branch and bound first, "
+        "HiGHS for what it leaves open)"
     )
     return 0
 
@@ -768,7 +759,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="OUT",
         help="also write a machine-readable benchmark record (the "
         "BENCH_*.json trajectory format, see docs/performance.md): "
-        "workload, engine backends, batch statistics, values",
+        "workload, join counters, batch statistics, values",
     )
     p.set_defaults(func=cmd_bench)
 

@@ -590,13 +590,10 @@ def _solve_units_parallel(
         execute_shards,
         group_by_database,
     )
-    from repro.resilience.exact import _assemble, solver_backend_override
+    from repro.resilience.exact import _assemble
     from repro.resilience.types import Budget
 
     budget_obj = None if budget is None else Budget.coerce(budget)
-    # A forced exact backend, read once: component tasks run under it
-    # exactly as resilience_exact(prefer="auto") would in series.
-    backend = solver_backend_override()
     tasks: List[object] = []
     pair_task_units: Dict[int, Tuple[frozenset, frozenset]] = {}
     # unit key -> (structure, component task ids)
@@ -638,7 +635,7 @@ def _solve_units_parallel(
                 )
                 tasks.append(
                     ComponentTask(
-                        task_id, comp.tuple_ids, comp.sets, backend, comp_costs
+                        task_id, comp.tuple_ids, comp.sets, costs=comp_costs
                     )
                 )
                 comp_ids.append(task_id)
@@ -665,6 +662,5 @@ def _solve_units_parallel(
         unit_results[key] = _assemble(
             ws,
             (outcomes[task_id] for task_id in comp_ids),
-            backend=backend,
             weighted=unit_weighted[key],
         )

@@ -13,8 +13,8 @@ generalized vertex-cover reduction (Definition 48, Conjecture 49):
   condition-5 hitting-set prescreen, engine-probe certification;
 * :mod:`repro.ijp.search` — the Appendix C.2 procedure (Example 62):
   enumerate canonical join copies and constant partitions, test each
-  merged database; :func:`ijp_search_reference` keeps the recursive
-  baseline the vectorized engine is benchmarked against;
+  merged database (the recursive baseline the vectorized engine is
+  benchmarked against is the test oracle ``tests/oracles/ijp.py``);
 * :mod:`repro.ijp.sweep` — the sharded, resumable, distributed sweep
   and the standing open-conjecture table (``docs/ijp.md``);
 * :mod:`repro.ijp.examples` — the paper's concrete IJP databases
@@ -23,12 +23,7 @@ generalized vertex-cover reduction (Definition 48, Conjecture 49):
 
 from repro.ijp.checker import IJPReport, check_ijp, find_ijp_pair
 from repro.ijp.rgs import bell_number, rgs_from_partition, shard_space
-from repro.ijp.search import (
-    canonical_database,
-    ijp_search,
-    ijp_search_reference,
-    set_partitions,
-)
+from repro.ijp.search import canonical_database, ijp_search
 from repro.ijp.space import (
     IJPCertificate,
     NearMiss,
@@ -63,9 +58,7 @@ __all__ = [
     "rgs_from_partition",
     "shard_space",
     "ijp_search",
-    "ijp_search_reference",
     "canonical_database",
-    "set_partitions",
     "IJPCertificate",
     "NearMiss",
     "SpaceSweepResult",

@@ -3,12 +3,12 @@
 The Appendix C.2 search (Example 62) enumerates every set partition of
 the ``k * |vars(q)|`` constants of ``k`` canonical copies — a Bell
 number of candidates (B(9) = 21147 for the triangle at three copies,
-B(12) ≈ 4.2M for four-variable queries).  The recursive generator in
-:mod:`repro.ijp.search` walks them one Python list at a time; this
-module enumerates the same space as *restricted growth strings* over
-numpy int arrays so that Definition 48's cheap conditions can be
-checked on whole batches at once and entire subtrees skipped before
-any database is materialized.
+B(12) ≈ 4.2M for four-variable queries).  The recursive generator the
+tests keep as a reference (``tests/oracles/ijp.py``) walks them one
+Python list at a time; this module enumerates the same space as
+*restricted growth strings* over numpy int arrays so that Definition
+48's cheap conditions can be checked on whole batches at once and
+entire subtrees skipped before any database is materialized.
 
 A restricted growth string (RGS) of length ``n`` is an int vector
 ``a`` with ``a[0] = 0`` and ``a[i] <= max(a[:i]) + 1``; it encodes the
@@ -60,30 +60,6 @@ def restricted_bell(remaining: int, choices: int) -> int:
 def bell_number(n: int) -> int:
     """The Bell number ``B(n)`` — partitions of an ``n``-element set."""
     return restricted_bell(n, 1)
-
-
-def rgs_reference(n: int) -> Iterator[Tuple[int, ...]]:
-    """Recursive reference enumeration of all RGS of length ``n``.
-
-    Lexicographic order; the vectorized expansion below must agree with
-    this exactly (pinned by a hypothesis test), mirroring how the
-    recursive ``set_partitions`` generator is kept as the checked
-    baseline of the Appendix C.2 rewrite.
-    """
-    if n == 0:
-        yield ()
-        return
-
-    def rec(prefix: List[int], ceiling: int) -> Iterator[Tuple[int, ...]]:
-        if len(prefix) == n:
-            yield tuple(prefix)
-            return
-        for digit in range(ceiling + 2):
-            prefix.append(digit)
-            yield from rec(prefix, max(ceiling, digit))
-            prefix.pop()
-
-    yield from rec([], -1)
 
 
 def blocks_from_rgs(code: Sequence[int]) -> List[List[int]]:

@@ -17,10 +17,10 @@ before ever calling the exact resilience solver.  :func:`ijp_search`
 runs on the vectorized restricted-growth-string engine
 (:mod:`repro.ijp.rgs`, :mod:`repro.ijp.space`): lexicographic numpy
 enumeration, sound subtree pruning, batched condition-5 probes through
-the solver front door.  The original recursive walk survives as
-:func:`ijp_search_reference` / :func:`set_partitions` — the
-differential baseline benchmark E23 measures the speedup against —
-and the sharded, resumable version lives in :mod:`repro.ijp.sweep`.
+the solver front door.  The original recursive walk is the test
+oracle ``tests/oracles/ijp.py`` — the differential baseline benchmark
+E23 measures the speedup against — and the sharded, resumable version
+lives in :mod:`repro.ijp.sweep`.
 
 **Reproduction finding.**  Definition 48, read literally, is satisfied
 by degenerate databases for some *PTIME* queries: e.g. for
@@ -41,12 +41,11 @@ result is evidence only up to the copy count and budget searched.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import Optional
 
 from repro.db.database import Database
-from repro.ijp.checker import IJPReport, check_ijp, find_ijp_pair
+from repro.ijp.checker import IJPReport, check_ijp
 from repro.query.cq import ConjunctiveQuery
-from repro.query.evaluation import satisfies
 from repro.workloads.random_db import declare_vocabulary
 
 
@@ -59,72 +58,6 @@ def canonical_database(query: ConjunctiveQuery, tag: int = 0) -> Database:
     for atom in query.atoms:
         db.add(atom.relation, *((tag, v) for v in atom.args))
     return db
-
-
-def set_partitions(items: List) -> Iterator[List[List]]:
-    """All set partitions of ``items`` (Bell-number many).
-
-    The recursive reference enumerator — kept as the checked baseline
-    of the vectorized RGS engine (:mod:`repro.ijp.rgs`): property tests
-    pin that both visit the same partition set, and benchmark E23
-    measures its partitions/second as the 1x floor.
-    """
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for partition in set_partitions(rest):
-        for i in range(len(partition)):
-            yield partition[:i] + [[first] + partition[i]] + partition[i + 1:]
-        yield [[first]] + partition
-
-
-def _merge_copies(
-    query: ConjunctiveQuery, k: int, partition: List[List]
-) -> Database:
-    """Build the database of ``k`` canonical copies under a partition."""
-    representative = {}
-    for block in partition:
-        rep = ("blk",) + tuple(sorted(map(repr, block)))
-        for item in block:
-            representative[item] = rep
-    db = declare_vocabulary(Database(), [query])
-    for tag in range(k):
-        for atom in query.atoms:
-            db.add(
-                atom.relation,
-                *(representative[(tag, v)] for v in atom.args),
-            )
-    return db
-
-
-def ijp_search_reference(
-    query: ConjunctiveQuery,
-    max_joins: int = 3,
-    partition_budget: int = 200_000,
-) -> Optional[IJPReport]:
-    """The pre-vectorization Appendix C.2 search, kept verbatim as the
-    differential baseline: one recursive partition at a time, one
-    full Definition 48 check per merged database.  Benchmark E23's
-    speedup gate and the pruning-soundness tests compare
-    :func:`ijp_search` against this."""
-    for k in range(1, max_joins + 1):
-        constants = [(tag, v) for tag in range(k) for v in sorted(query.variables())]
-        budget = partition_budget
-        for partition in set_partitions(constants):
-            budget -= 1
-            if budget < 0:
-                break
-            db = _merge_copies(query, k, partition)
-            if not satisfies(db, query):
-                continue  # pragma: no cover - canonical copies always satisfy
-            report = find_ijp_pair(db, query)
-            if report is not None:
-                report.reasons.append(
-                    f"found with {k} join copies, partition {partition}"
-                )
-                return report
-    return None
 
 
 def ijp_search(
@@ -152,7 +85,8 @@ def ijp_search(
     and condition-5 probes go through ``solve_batch`` (pass
     ``cache_dir`` to persist/dedupe them).  The partition budget counts
     *covered* partitions — enumerated plus soundly pruned — per copy
-    count, so the search semantics match the recursive baseline.
+    count, so the search semantics match the recursive baseline
+    (``tests/oracles/ijp.py``).
     """
     from repro.ijp.space import sweep_space
 

@@ -87,9 +87,7 @@ def run_shard(shard: Shard) -> ShardOutcome:
         if isinstance(task, ComponentTask):
             costs = dict(task.costs) if task.costs is not None else None
             ids, ran_ilp = _solve_component(
-                WitnessComponent(task.tuple_ids, task.sets),
-                costs=costs,
-                backend=task.backend,
+                WitnessComponent(task.tuple_ids, task.sets), costs=costs
             )
             outcomes[task.task_id] = (frozenset(ids), ran_ilp)
             continue

@@ -80,17 +80,14 @@ class ComponentTask:
     (and kernelized) by the coordinator: instead of shipping the whole
     database, only the component's witness sets — frozensets of global
     tuple ids — cross the process boundary, and only the chosen ids
-    come back, with whether HiGHS ran.  ``backend`` is ``None`` for the
-    exact tier's per-component rule, or the ``"bnb"``/``"ilp"`` a
-    serial solve is forced to
-    (:func:`repro.resilience.exact.solver_backend_override`), so that
-    the assembled result is identical to a serial solve.
+    come back, with whether HiGHS ran.  The worker runs the exact
+    tier's per-component rule, as a serial solve does, so the assembled
+    result is identical to a serial solve.
     """
 
     task_id: int
     tuple_ids: Tuple[int, ...]
     sets: Tuple[FrozenSet[int], ...]
-    backend: Optional[str] = None
     # (global_id, cost) pairs for the weighted objective; None solves
     # the plain cardinality problem.
     costs: Optional[Tuple[Tuple[int, int], ...]] = None

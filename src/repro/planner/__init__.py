@@ -2,12 +2,11 @@
 
 Every layer a solve passes through decides its own backend at its own
 decision point: witness enumeration (Section 2) in
-:func:`repro.query.columnar._use_columnar`, kernel reduction in
-:func:`repro.witness.structure._kernel_backend`, the Theorem 24
-exact hitting-set search in
-:func:`repro.resilience.exact.solver_backend_override`, and the
-parallel component split in :func:`repro.core.analyzer.split_instance`.
-(The PTIME tier's min cut has one implementation, so it has no entry.)
+:func:`repro.query.columnar._use_columnar` and the parallel component
+split in :func:`repro.core.analyzer.split_instance`.  The kernel
+reduction and the Theorem 24 exact hitting-set search decide per
+witness structure and per component while they run, and the PTIME
+tier's min cut has one implementation, so none of them has an entry.
 :func:`plan_instance` calls exactly those functions for one instance
 and collects their answers in a :class:`Plan`, so ``repro planner
 explain`` reports what a solve would run without restating any
@@ -23,8 +22,6 @@ from repro.db.database import Database
 from repro.query.columnar import _use_columnar
 from repro.query.cq import ConjunctiveQuery
 from repro.planner.features import PlanFeatures, extract_features
-from repro.resilience.exact import solver_backend_override
-from repro.witness.structure import _kernel_backend
 
 __all__ = ["Plan", "PlanFeatures", "extract_features", "plan_instance"]
 
@@ -33,25 +30,17 @@ __all__ = ["Plan", "PlanFeatures", "extract_features", "plan_instance"]
 class Plan:
     """One instance's backends, every layer in one place.
 
-    ``solver`` is the backend ``REPRO_SOLVER_BACKEND`` forces
-    (``"bnb"``/``"ilp"``), else ``"auto"``: the exact tier then picks
-    per component, running HiGHS only where a row-budgeted branch and
-    bound leaves one open.  ``split`` says whether a parallel exact
-    batch shards the instance per witness component.
+    ``join`` names the witness enumeration, and ``split`` says whether
+    a parallel exact batch shards the instance per witness component.
     """
 
     join: str
-    kernel: str
-    solver: str
     split: bool
     features: PlanFeatures
 
     def signature(self) -> str:
         """A compact, stable label."""
-        return (
-            f"join={self.join},kernel={self.kernel},"
-            f"solver={self.solver},split={'yes' if self.split else 'no'}"
-        )
+        return f"join={self.join},split={'yes' if self.split else 'no'}"
 
 
 def plan_instance(
@@ -64,8 +53,6 @@ def plan_instance(
     features = extract_features(database, query, weighted=weighted)
     return Plan(
         join="columnar" if _use_columnar(database) else "reference",
-        kernel=_kernel_backend(),
-        solver=solver_backend_override() or "auto",
         split=split_instance(database),
         features=features,
     )

@@ -33,23 +33,20 @@ queries.
 
 Backend selection
 -----------------
-``REPRO_JOIN_BACKEND`` chooses the enumeration backend for
+:func:`_use_columnar` chooses the enumeration backend for
 :func:`repro.query.evaluation.witness_tuple_sets` and the witness
-structure build:
-
-* ``columnar`` — always use this module, at every database size;
-* ``reference`` — always use the backtracking evaluator;
-* unset (the default) — use this module when the database is
-  snapshot-backed (:class:`repro.storage.StoredDatabase`: its data
-  already lives as on-disk code matrices, so only this join avoids a
-  full decode) or has at least :data:`MIN_TUPLES_DEFAULT` tuples; tiny
-  in-memory instances stay on the reference path, where numpy call
-  overhead would dominate.
+structure build: this module when the database is snapshot-backed
+(:class:`repro.storage.StoredDatabase`: its data already lives as
+on-disk code matrices, so only this join avoids a full decode) or has
+at least :data:`MIN_TUPLES_DEFAULT` tuples; tiny in-memory instances
+stay on the backtracking evaluator, where numpy call overhead would
+dominate.  Tests force either path by patching that one function
+(``tests/oracles/engines.py``).
 
 :func:`backend_counters` reports how often each path actually ran —
-``columnar`` (vectorized), ``reference`` (disabled or below the size
-rule), ``fallback`` (eligible but unsupported: an atom/relation
-arity mismatch).  Join frontiers larger than
+``columnar`` (vectorized), ``reference`` (below the size rule),
+``fallback`` (eligible but unsupported: an atom/relation arity
+mismatch).  Join frontiers larger than
 :func:`frontier_chunk_rows` no longer fall back — the enumeration
 streams bounded blocks (at most that many rows live at once) and
 merges per-block deduplicated results, so memory stays bounded at any
@@ -99,25 +96,10 @@ def frontier_chunk_rows() -> int:
 _counters = {"columnar": 0, "reference": 0, "fallback": 0}
 
 
-def join_backend() -> str:
-    """The enumeration backend selected by ``REPRO_JOIN_BACKEND``."""
-    backend = os.environ.get("REPRO_JOIN_BACKEND", "columnar")
-    if backend not in ("columnar", "reference"):
-        raise ValueError(
-            f"REPRO_JOIN_BACKEND={backend!r} (expected 'columnar' or 'reference')"
-        )
-    return backend
-
-
 def _use_columnar(database: Database) -> bool:
-    """The enumeration gate shared by both ``try_*`` dispatchers.
-
-    A set ``REPRO_JOIN_BACKEND`` forces its backend at every size;
-    otherwise snapshot-backed databases and databases of at least
-    :data:`MIN_TUPLES_DEFAULT` tuples join columnar.
-    """
-    if "REPRO_JOIN_BACKEND" in os.environ:
-        return join_backend() == "columnar"
+    """The enumeration gate shared by both ``try_*`` dispatchers:
+    snapshot-backed databases and databases of at least
+    :data:`MIN_TUPLES_DEFAULT` tuples join columnar."""
     return (
         getattr(database, "storage_snapshot", None) is not None
         or len(database) >= MIN_TUPLES_DEFAULT

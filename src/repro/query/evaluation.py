@@ -345,9 +345,9 @@ def witness_tuple_sets(
 
     Large instances run on the vectorized columnar join of
     :mod:`repro.query.columnar` (same sets, enumerated as numpy
-    incidence instead of Python valuations; ``REPRO_JOIN_BACKEND``
-    selects, see that module); everything else uses the backtracking
-    evaluator of :func:`_witness_tuple_sets_reference`.
+    incidence instead of Python valuations; see that module's size
+    rule); everything else uses the backtracking evaluator of
+    :func:`_witness_tuple_sets_reference`.
     """
     from repro.query.columnar import try_witness_tuple_sets
 

@@ -580,9 +580,8 @@ def _budgeted_bnb(
 
     The search runs on Python-int bitmasks over the component's tuple
     universe (:func:`_budgeted_bnb_bitset`) unless the component is
-    tiny, very wide, or ``REPRO_KERNEL_BACKEND`` selects the frozenset
-    reference; exploration order, node accounting, incumbents, and
-    bounds are identical either way.
+    tiny or very wide; exploration order, node accounting, incumbents,
+    and bounds are identical either way.
 
     With ``costs`` the objective is the cost sum and the frozenset
     search runs with cost sums in place of cardinalities (a bitmask
@@ -591,12 +590,9 @@ def _budgeted_bnb(
     delegates to the unweighted path upstream).
     """
     if costs is None and len(sets) >= _BNB_BITSET_MIN_SETS:
-        from repro.witness.structure import _kernel_backend
-
-        if _kernel_backend() == "bitset":
-            universe = sorted({t for s in sets for t in s})
-            if len(universe) <= _BNB_BITSET_MAX_TUPLES:
-                return _budgeted_bnb_bitset(sets, seed, meter, universe)
+        universe = sorted({t for s in sets for t in s})
+        if len(universe) <= _BNB_BITSET_MAX_TUPLES:
+            return _budgeted_bnb_bitset(sets, seed, meter, universe)
     return _budgeted_bnb_reference(sets, seed, meter, costs)
 
 

@@ -42,7 +42,6 @@ imports working).
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 from typing import FrozenSet, Iterable, Optional, Sequence, Set, Tuple, TypeVar
 
@@ -295,22 +294,6 @@ def resilience_ilp(
     return _solve_structure(structure, "ilp", weighted=weighted)
 
 
-def solver_backend_override() -> Optional[str]:
-    """A forced exact backend, or ``None`` for the per-component rule.
-
-    ``REPRO_SOLVER_BACKEND`` (``bnb``/``ilp``) forces pure unlimited
-    branch and bound or pure HiGHS when set — a test hook: each is the
-    other's reference.  Both return optima of equal value (sets may
-    differ), so the override is value-invisible.
-    """
-    backend = os.environ.get("REPRO_SOLVER_BACKEND")
-    if backend is not None and backend not in ("bnb", "ilp"):
-        raise ValueError(
-            f"REPRO_SOLVER_BACKEND={backend!r} (expected 'bnb' or 'ilp')"
-        )
-    return backend
-
-
 def resilience_exact(
     database: Database,
     query: ConjunctiveQuery,
@@ -321,10 +304,9 @@ def resilience_exact(
 ) -> ResilienceResult:
     """Exact resilience, choosing a backend per component.
 
-    ``prefer`` is ``"auto"`` (:func:`_solve_component`'s rule, unless
-    :func:`solver_backend_override` forces a backend), ``"ilp"``, or
-    ``"bnb"``.  ``weighted=True`` minimizes the summed tuple costs
-    instead of the cardinality.
+    ``prefer`` is ``"auto"`` (:func:`_solve_component`'s rule),
+    ``"ilp"``, or ``"bnb"``.  ``weighted=True`` minimizes the summed
+    tuple costs instead of the cardinality.
     """
     if prefer not in ("auto", "ilp", "bnb"):
         raise ValueError(f"unknown backend preference {prefer!r}")
@@ -333,8 +315,6 @@ def resilience_exact(
         if structure is not None
         else witness_structure(database, query, index=index, weighted=weighted)
     )
-    if prefer == "auto":
-        prefer = solver_backend_override() or "auto"
     if prefer == "ilp":
         return resilience_ilp(database, query, structure=ws, weighted=weighted)
     if prefer == "bnb":

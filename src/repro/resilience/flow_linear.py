@@ -86,17 +86,6 @@ class LinearFlowSolver:
                 out.append(fact)
         return out
 
-    @staticmethod
-    def _compatible(atom_a, fact_a: DBTuple, atom_b, fact_b: DBTuple) -> bool:
-        """Do two facts agree on the variables their atoms share?"""
-        values: Dict[str, Hashable] = {}
-        for var, val in zip(atom_a.args, fact_a.values):
-            values[var] = val
-        for var, val in zip(atom_b.args, fact_b.values):
-            if var in values and values[var] != val:
-                return False
-        return True
-
     def _exogenous(self, database: Database, atom) -> bool:
         if atom.exogenous:
             return True
@@ -133,10 +122,20 @@ class LinearFlowSolver:
             net.sink_edge(("out", last, fact))
         for pos in range(last):
             a, b = atoms[pos], atoms[pos + 1]
+            shared = [v for v in dict.fromkeys(a.args) if v in b.args]
+            key_a = [a.args.index(v) for v in shared]
+            key_b = [b.args.index(v) for v in shared]
+            # Layer pos+1 bucketed by its values of the shared variables:
+            # a fact is compatible with exactly its bucket, whose members
+            # stay in layer order.
+            buckets: Dict[Tuple, List[DBTuple]] = {}
+            for fb in layers[pos + 1]:
+                key = tuple(fb.values[i] for i in key_b)
+                buckets.setdefault(key, []).append(fb)
             for fa in layers[pos]:
-                for fb in layers[pos + 1]:
-                    if self._compatible(a, fa, b, fb):
-                        net.add_inf_edge(("out", pos, fa), ("in", pos + 1, fb))
+                key = tuple(fa.values[i] for i in key_a)
+                for fb in buckets.get(key, ()):
+                    net.add_inf_edge(("out", pos, fa), ("in", pos + 1, fb))
         return net
 
     def solve(

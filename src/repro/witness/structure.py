@@ -49,7 +49,6 @@ directly from the same ids via :meth:`WitnessStructure.incidence_matrix`
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import (
@@ -71,27 +70,6 @@ from repro.query.evaluation import (
     DatabaseIndex,
     _witness_tuple_sets_reference,
 )
-
-
-def _kernel_backend() -> str:
-    """The kernelization backend: ``REPRO_KERNEL_BACKEND`` or ``bitset``.
-
-    ``bitset`` (default) runs the reduction fixpoint on a padded numpy
-    id matrix with Python-int bitsets over witness rows; ``reference``
-    runs the original frozenset pipeline.  Both produce bit-identical
-    structures (sets, order, forced ids, statistics) — the property
-    suite in ``tests/test_bitset_kernel.py`` enforces it.
-
-    The small-input guards below (:data:`_BITSET_MIN_SETS`, the width
-    cap) apply in every case — they are output-invisible fast paths,
-    not backend selections.
-    """
-    backend = os.environ.get("REPRO_KERNEL_BACKEND", "bitset")
-    if backend not in ("bitset", "reference"):
-        raise ValueError(
-            f"REPRO_KERNEL_BACKEND={backend!r} (expected 'bitset' or 'reference')"
-        )
-    return backend
 
 
 class UnbreakableQueryError(ValueError):
@@ -323,7 +301,6 @@ class WitnessStructure:
             and matrix is not None
             and n_raw >= _BITSET_MIN_SETS
             and matrix.shape[1] <= _MINIMAL_SUBSET_ENUM_MAX_LEN
-            and _kernel_backend() == "bitset"
         ):
             # The matrix is already the bitset kernel's working
             # representation — skip the frozenset round-trip.
@@ -545,16 +522,14 @@ def _reduce(
     together with the forced tuples hits every original witness set.
     ``costs`` switches domination to the cost-aware rule.
 
-    Dispatches between the vectorized bitset kernel (default) and the
-    frozenset reference pipeline per :func:`_kernel_backend`; outputs
-    are identical either way, including the deterministic
-    ``(len, sorted elements)`` order of the reduced sets.  Tiny systems
-    (fewer than :data:`_BITSET_MIN_SETS` sets) stay on the reference
-    path, where per-call numpy overhead would dominate.
+    Runs the vectorized bitset kernel, except that tiny systems (fewer
+    than :data:`_BITSET_MIN_SETS` sets) stay on the frozenset reference
+    pipeline, where per-call numpy overhead would dominate; outputs are
+    identical either way, including the deterministic
+    ``(len, sorted elements)`` order of the reduced sets.
     """
     if (
-        _kernel_backend() == "reference"
-        or len(sets) < _BITSET_MIN_SETS
+        len(sets) < _BITSET_MIN_SETS
         or any(not s for s in sets)
         # The matrix minimality stage enumerates 2^width subset
         # patterns per row length; wide witness sets stay on the
@@ -612,7 +587,10 @@ def _reduce_reference(
 
 # Below this many witness sets the frozenset pipeline wins (fixed numpy
 # call overhead per reduction stage); the dispatch is output-invisible
-# because both pipelines produce identical results.
+# because both pipelines produce identical results.  Tests lift this
+# threshold, :data:`_DECOMPOSE_MATRIX_MIN_SETS` and the search's
+# ``_BNB_BITSET_MIN_SETS`` past any input to run the reference paths
+# (``tests/oracles/engines.py``).
 _BITSET_MIN_SETS = 48
 #
 # Witness sets are held as one padded numpy int64 matrix: row = witness
@@ -862,20 +840,22 @@ def _reduce_matrix(
     return mat, sorted(forced), dominated_total
 
 
+#: From this many witness sets components come from
+#: :func:`scipy.sparse.csgraph` instead of the union-find.
+_DECOMPOSE_MATRIX_MIN_SETS = 512
+
+
 def _decompose(sets: Sequence[FrozenSet[int]]) -> Tuple[WitnessComponent, ...]:
     """Connected components of the tuple/witness incidence graph.
 
-    Large structures route through :func:`scipy.sparse.csgraph`
-    (:func:`_decompose_matrix`); the union-find below is the reference
-    implementation and the small-input fast path.  Output is identical:
-    components ordered by smallest member id, members ascending, each
-    component's sets in input order.
+    Structures of at least :data:`_DECOMPOSE_MATRIX_MIN_SETS` sets route
+    through :func:`scipy.sparse.csgraph` (:func:`_decompose_matrix`);
+    the union-find below is the reference implementation and the
+    small-input fast path.  Output is identical: components ordered by
+    smallest member id, members ascending, each component's sets in
+    input order.
     """
-    if (
-        len(sets) >= 512
-        and _kernel_backend() == "bitset"
-        and all(sets)
-    ):
+    if len(sets) >= _DECOMPOSE_MATRIX_MIN_SETS and all(sets):
         return _decompose_matrix(list(sets))
     return _decompose_reference(sets)
 

@@ -2,10 +2,11 @@
 
 Each engine layer with two interchangeable implementations — the
 witness join (Section 2), the kernel reduction, and the Theorem 24
-exact hitting-set search — picks one by its own rule unless a
-``REPRO_*_BACKEND`` variable forces it.  (The Proposition 31 min cut
-has one implementation; its networkx oracle is patched in once per
-instance instead.)  Backend choice may move time, never answers:
+exact hitting-set search — picks one by its own rule; the tests force
+the other through :func:`oracles.engines.forced_engines`.  (The
+Proposition 31 min cut has one implementation; its networkx oracle is
+patched in once per instance instead.)  Backend choice may move time,
+never answers:
 
 * a differential matrix (8 query families x 13 seeds, unit and skewed
   costs, all three solving tiers) compares the default ``solve()``
@@ -13,11 +14,12 @@ instance instead.)  Backend choice may move time, never answers:
   intervals agree for every combination (distinct backends may witness
   distinct optimal sets).  Under polynomial dispatch every combination
   reproduces the default bit for bit, since no forced layer is on the
-  flow path.  Otherwise, forcing the join and kernel backends
-  :func:`repro.planner.plan_instance` names reproduces the default bit
-  for bit whenever the forced exact solver cannot change the set: in
-  the bounded modes (which never reach it), and with the solver forced
-  to ``bnb`` when no component of an exact solve fell through to HiGHS
+  flow path.  Otherwise, forcing the join
+  :func:`repro.planner.plan_instance` names and the bitset kernel (the
+  kernel's own rule) reproduces the default bit for bit whenever the
+  forced exact solver cannot change the set: in the bounded modes
+  (which never reach it), and with the solver forced to ``bnb`` when no
+  component of an exact solve fell through to HiGHS
   (``method="branch-and-bound"``).  With the oracle's min cut in place
   of the engine's, every instance keeps its value and interval;
 * serial and parallel batches return bit-identical results;
@@ -31,6 +33,7 @@ import itertools
 import pytest
 
 import repro.parallel
+from oracles.engines import forced_engines
 from oracles.flow import patched_min_cut
 from repro.core import solve_batch
 from repro.db import Database
@@ -61,11 +64,12 @@ FAMILIES = (
 SEEDS = range(13)
 MODES = ("exact", "approx", "anytime")
 
-# The full cross product of the two-way choices at each layer.
+# The full cross product of the two-way choices at each layer (the
+# kernel's None is its own rule: bitset above its size thresholds).
 FORCED_COMBOS = tuple(
     itertools.product(
         ("columnar", "reference"),  # join
-        ("bitset", "reference"),    # kernel
+        (None, "reference"),        # kernel
         ("bnb", "ilp"),             # solver
     )
 )
@@ -91,26 +95,12 @@ def _mode_of(family, seed, skewed):
     return MODES[(FAMILIES.index(family) + seed + skewed) % len(MODES)]
 
 
-def _force(monkeypatch, join, kernel, solver_backend):
-    """Force one backend combination."""
-    monkeypatch.setenv("REPRO_JOIN_BACKEND", join)
-    monkeypatch.setenv("REPRO_KERNEL_BACKEND", kernel)
-    monkeypatch.setenv("REPRO_SOLVER_BACKEND", solver_backend)
-
-
 def _polynomial(method):
     """Whether a result came from polynomial (flow) dispatch."""
     return method.startswith("flow:") or method in (
         "linear-flow",
         "weighted-linear-flow",
     )
-
-
-@pytest.fixture(autouse=True)
-def _unforced(monkeypatch):
-    """Every test starts from the layers' own rules."""
-    for layer in ("JOIN", "KERNEL", "SOLVER"):
-        monkeypatch.delenv(f"REPRO_{layer}_BACKEND", raising=False)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -120,7 +110,7 @@ class TestDifferentialMatrix:
 
     @pytest.mark.parametrize("skewed", (0, 1), ids=("unit", "skewed"))
     def test_default_matches_every_forced_combination(
-        self, family, seed, skewed, monkeypatch
+        self, family, seed, skewed
     ):
         db, query = _instance(family, seed, skewed)
         mode = _mode_of(family, seed, skewed)
@@ -130,16 +120,14 @@ class TestDifferentialMatrix:
         clear_witness_cache()
         default = solve(db, query, mode=mode, budget=budget, weighted=weighted)
         plan = plan_instance(db, query, weighted=weighted)
-        assert plan.solver == "auto"
-        layers = (plan.join, plan.kernel)
+        layers = (plan.join, None)
         hitting_set = mode == "exact" and default.method in (
             "branch-and-bound",
             "ilp",
         )
 
         for combo in FORCED_COMBOS:
-            with monkeypatch.context() as forced_env:
-                _force(forced_env, *combo)
+            with forced_engines(*combo):
                 clear_witness_cache()
                 forced = solve(
                     db, query, mode=mode, budget=budget, weighted=weighted

@@ -9,13 +9,16 @@ deterministic order, same forced ids, same statistics, same incumbents
 and certified bounds under any node budget.
 """
 
-import os
 import random
-from contextlib import contextmanager
+from contextlib import ExitStack
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles.engines import forced_engines
+from repro.query.zoo import q_chain
+from repro.resilience import approx
 from repro.resilience.approx import (
     _BudgetMeter,
     _budgeted_bnb,
@@ -25,7 +28,7 @@ from repro.resilience.approx import (
 )
 from repro.resilience.solver import solve
 from repro.resilience.types import Budget
-from repro.witness import clear_witness_cache
+from repro.witness import clear_witness_cache, structure
 from repro.witness.structure import (
     ReductionStats,
     WitnessStructure,
@@ -33,7 +36,6 @@ from repro.witness.structure import (
     _decompose_reference,
     _dominated_matrix,
     _dominated_tuples,
-    _kernel_backend,
     _matrix_from_sets,
     _minimal_matrix,
     _minimal_sets,
@@ -42,25 +44,11 @@ from repro.witness.structure import (
     _reduce_reference,
     _sets_from_matrix,
 )
-from repro.workloads import random_database_for_query, random_ssj_binary_cq
-
-
-@contextmanager
-def _env(**overrides):
-    old = {key: os.environ.get(key) for key in overrides}
-    try:
-        for key, value in overrides.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
-        yield
-    finally:
-        for key, value in old.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+from repro.workloads import (
+    large_random_database,
+    random_database_for_query,
+    random_ssj_binary_cq,
+)
 
 
 # Random hitting-set instances: ids are drawn sparse on purpose so the
@@ -180,13 +168,13 @@ class TestEndToEnd:
         for seed in range(12):
             database, query = self._instance(seed)
             built = {}
-            for backend in ("reference", "bitset"):
-                with _env(REPRO_KERNEL_BACKEND=backend):
+            for kernel in ("reference", None):
+                with forced_engines(kernel=kernel):
                     try:
-                        built[backend] = WitnessStructure.build(database, query)
+                        built[kernel] = WitnessStructure.build(database, query)
                     except Exception as exc:
-                        built[backend] = type(exc)
-            ref, bit = built["reference"], built["bitset"]
+                        built[kernel] = type(exc)
+            ref, bit = built["reference"], built[None]
             if isinstance(ref, type) or isinstance(bit, type):
                 assert ref == bit
                 continue
@@ -218,34 +206,51 @@ class TestEndToEnd:
         for seed in range(10):
             database, query = self._instance(seed)
             answers = {}
-            for backend in ("reference", "bitset"):
-                with _env(REPRO_KERNEL_BACKEND=backend):
+            for kernel in ("reference", None):
+                with forced_engines(kernel=kernel):
                     clear_witness_cache()
                     try:
                         result = solve(database, query, mode=mode, budget=budget)
                     except Exception as exc:
-                        answers[backend] = type(exc)
+                        answers[kernel] = type(exc)
                         continue
                     if mode == "exact":
-                        answers[backend] = (
+                        answers[kernel] = (
                             result.value,
                             result.contingency_set,
                             result.method,
                         )
                     else:
-                        answers[backend] = (
+                        answers[kernel] = (
                             result.interval,
                             result.contingency_set,
                             result.method,
                         )
             clear_witness_cache()
-            assert answers["reference"] == answers["bitset"], seed
+            assert answers["reference"] == answers[None], seed
 
-    def test_kernel_backend_default_and_validation(self):
-        with _env(REPRO_KERNEL_BACKEND=None):
-            assert _kernel_backend() == "bitset"
-        with _env(REPRO_KERNEL_BACKEND="reference"):
-            assert _kernel_backend() == "reference"
-        with _env(REPRO_KERNEL_BACKEND="typo"):
-            with pytest.raises(ValueError):
-                _kernel_backend()
+    def test_forced_reference_kernel_reaches_every_size_rule(self):
+        """On an instance above all three thresholds the kernel's own
+        rule runs the matrix reduction, the csgraph decomposition and
+        the bitmask search; ``forced_engines(kernel="reference")`` runs
+        none of them."""
+        db = large_random_database([q_chain], n_tuples=200, rng=random.Random(0))
+        paths = (
+            (structure, "_reduce_matrix"),
+            (structure, "_decompose_matrix"),
+            (approx, "_budgeted_bnb_bitset"),
+        )
+        for kernel in (None, "reference"):
+            with ExitStack() as stack:
+                spies = [
+                    stack.enter_context(
+                        mock.patch.object(m, name, wraps=getattr(m, name))
+                    )
+                    for m, name in paths
+                ]
+                with forced_engines(kernel=kernel):
+                    clear_witness_cache()
+                    solve(db, q_chain, mode="anytime", budget=Budget(node_limit=50))
+            clear_witness_cache()
+            ran = [spy.call_count > 0 for spy in spies]
+            assert ran == [kernel is None] * 3, kernel

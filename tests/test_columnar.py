@@ -8,13 +8,12 @@ built on top of it must be identical to the reference path's.
 """
 
 import collections
-import os
 import random
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles.engines import forced_engines
 from repro.query.columnar import (
     MIN_TUPLES_DEFAULT,
     ColumnarDatabase,
@@ -22,7 +21,6 @@ from repro.query.columnar import (
     columnar_valuations,
     columnar_witness_incidence,
     columnar_witness_tuple_sets,
-    join_backend,
     reset_backend_counters,
     try_witness_tuple_sets,
 )
@@ -36,24 +34,6 @@ from repro.workloads import (
     random_sjfree_cq,
     random_ssj_binary_cq,
 )
-
-
-@contextmanager
-def _env(**overrides):
-    old = {key: os.environ.get(key) for key in overrides}
-    try:
-        for key, value in overrides.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
-        yield
-    finally:
-        for key, value in old.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
 
 
 def _with_duplicate_atom(query, rng):
@@ -228,7 +208,7 @@ class TestStructureAndSolveEquivalence:
         database, query = _random_instance(seed)
         built = {}
         for backend in ("reference", "columnar"):
-            with _env(REPRO_JOIN_BACKEND=backend):
+            with forced_engines(join=backend):
                 try:
                     built[backend] = WitnessStructure.build(database, query)
                 except Exception as exc:  # UnbreakableQueryError etc.
@@ -267,7 +247,7 @@ class TestStructureAndSolveEquivalence:
             database, query = _random_instance(seed)
             answers = {}
             for backend in ("reference", "columnar"):
-                with _env(REPRO_JOIN_BACKEND=backend):
+                with forced_engines(join=backend):
                     clear_witness_cache()
                     try:
                         result = solve(database, query, mode=mode)
@@ -291,15 +271,6 @@ class TestStructureAndSolveEquivalence:
 
 
 class TestBackendDispatch:
-    def test_join_backend_default_and_validation(self):
-        with _env(REPRO_JOIN_BACKEND=None):
-            assert join_backend() == "columnar"
-        with _env(REPRO_JOIN_BACKEND="reference"):
-            assert join_backend() == "reference"
-        with _env(REPRO_JOIN_BACKEND="typo"):
-            with pytest.raises(ValueError):
-                join_backend()
-
     def test_small_databases_stay_on_reference_path(self):
         """Below the size threshold the dispatcher declines (and counts
         the decline as a reference run, not a fallback)."""
@@ -308,16 +279,15 @@ class TestBackendDispatch:
             query, domain_size=4, density=0.5, seed=0
         )
         reset_backend_counters()
-        with _env(REPRO_JOIN_BACKEND=None):
-            assert try_witness_tuple_sets(database, query) is None
+        assert try_witness_tuple_sets(database, query) is None
         counters = backend_counters()
         assert counters["reference"] == 1
         assert counters["fallback"] == 0
         assert counters["columnar"] == 0
 
     def test_default_rule_joins_columnar_from_min_tuples(self):
-        """With the variable unset, an in-memory database joins columnar
-        exactly from :data:`MIN_TUPLES_DEFAULT` tuples."""
+        """An in-memory database joins columnar exactly from
+        :data:`MIN_TUPLES_DEFAULT` tuples."""
         from repro.db.database import Database
 
         query = ALL_QUERIES["q_chain"]
@@ -326,8 +296,7 @@ class TestBackendDispatch:
             database = Database()
             database.add_all("R", [(i, i + 1) for i in range(size)])
             reset_backend_counters()
-            with _env(REPRO_JOIN_BACKEND=None):
-                try_witness_tuple_sets(database, query)
+            try_witness_tuple_sets(database, query)
             assert backend_counters()[expected] == 1, size
 
     def test_forced_columnar_counts_a_columnar_run(self):
@@ -336,7 +305,7 @@ class TestBackendDispatch:
             query, domain_size=4, density=0.5, seed=0
         )
         reset_backend_counters()
-        with _env(REPRO_JOIN_BACKEND="columnar"):
+        with forced_engines(join="columnar"):
             assert try_witness_tuple_sets(database, query) is not None
         assert backend_counters()["columnar"] == 1
 
@@ -346,7 +315,7 @@ class TestBackendDispatch:
             query, domain_size=4, density=0.5, seed=0
         )
         reset_backend_counters()
-        with _env(REPRO_JOIN_BACKEND="reference"):
+        with forced_engines(join="reference"):
             assert try_witness_tuple_sets(database, query) is None
         assert backend_counters()["reference"] == 1
 
@@ -361,7 +330,7 @@ class TestBackendDispatch:
         database.declare("R", 1)
         database.add("R", 1)
         reset_backend_counters()
-        with _env(REPRO_JOIN_BACKEND="columnar"):
+        with forced_engines(join="columnar"):
             assert try_witness_tuple_sets(database, query) is None
         assert backend_counters()["fallback"] == 1
 

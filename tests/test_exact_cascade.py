@@ -27,6 +27,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles.engines import forced_engines
 from repro.core import solve_batch
 from repro.db import Database
 from repro.incremental import IncrementalSession
@@ -125,6 +126,10 @@ def _every_path(db, monkeypatch, rows):
     """Serial solve, split parallel batch and incremental session (serial
     and pooled), all under one row budget."""
     monkeypatch.setattr(exact, "EXACT_SEARCH_ROWS", rows)
+    return _answers_on_every_path(db)
+
+
+def _answers_on_every_path(db):
     clear_witness_cache()
     answers = [_answer(solve(db, q_chain))]
     clear_witness_cache()
@@ -138,12 +143,7 @@ def _every_path(db, monkeypatch, rows):
     return answers
 
 
-@pytest.fixture
-def unforced(monkeypatch):
-    monkeypatch.delenv("REPRO_SOLVER_BACKEND", raising=False)
-
-
-def test_mixed_instance_is_identical_on_every_path(monkeypatch, unforced):
+def test_mixed_instance_is_identical_on_every_path(monkeypatch):
     db = _four_chain_pieces()
     rows = 100
     completions = _completions(db, rows)
@@ -151,14 +151,12 @@ def test_mixed_instance_is_identical_on_every_path(monkeypatch, unforced):
     answers = _every_path(db, monkeypatch, rows)
     assert all(a == answers[0] for a in answers), answers
     assert answers[0][2] == "ilp"
-    monkeypatch.setenv("REPRO_SOLVER_BACKEND", "bnb")
     clear_witness_cache()
-    assert solve(db, q_chain).value == answers[0][0]
+    with forced_engines(solver="bnb"):
+        assert solve(db, q_chain).value == answers[0][0]
 
 
-def test_weighted_mixed_instance_is_identical_serial_and_parallel(
-    monkeypatch, unforced
-):
+def test_weighted_mixed_instance_is_identical_serial_and_parallel(monkeypatch):
     db = _four_chain_pieces()
     assign_skewed_costs(db, seed=3)
     rows = 500  # cost-weighted searches need more rows to close
@@ -185,33 +183,50 @@ def test_weighted_mixed_instance_is_identical_serial_and_parallel(
     )
     assert _answer(batch.results[0]) == _answer(serial)
     assert serial.method == "ilp"
-    monkeypatch.setenv("REPRO_SOLVER_BACKEND", "bnb")
     clear_witness_cache()
-    assert solve(db, q_chain, weighted=True).value == serial.value
+    with forced_engines(solver="bnb"):
+        assert solve(db, q_chain, weighted=True).value == serial.value
 
 
-def test_all_fall_through_is_pure_highs(monkeypatch, unforced):
+def test_all_fall_through_is_pure_highs(monkeypatch):
     db = _four_chain_pieces()
     assert not any(_completions(db, 1))
     answers = _every_path(db, monkeypatch, 1)
     assert all(a == answers[0] for a in answers), answers
-    monkeypatch.setenv("REPRO_SOLVER_BACKEND", "ilp")
     clear_witness_cache()
-    assert _answer(solve(db, q_chain)) == answers[0]
+    with forced_engines(solver="ilp"):
+        assert _answer(solve(db, q_chain)) == answers[0]
+    clear_witness_cache()
+    assert _answer(resilience_exact(db, q_chain, prefer="ilp")) == answers[0]
 
 
-def test_all_complete_is_pure_branch_and_bound(monkeypatch, unforced):
+def test_all_complete_is_pure_branch_and_bound(monkeypatch):
     db = _four_chain_pieces()
     assert all(_completions(db, exact.EXACT_SEARCH_ROWS))
     answers = _every_path(db, monkeypatch, exact.EXACT_SEARCH_ROWS)
     assert all(a == answers[0] for a in answers), answers
     assert answers[0][2] == "branch-and-bound"
-    monkeypatch.setenv("REPRO_SOLVER_BACKEND", "bnb")
     clear_witness_cache()
-    assert _answer(solve(db, q_chain)) == answers[0]
+    with forced_engines(solver="bnb"):
+        assert _answer(solve(db, q_chain)) == answers[0]
+    clear_witness_cache()
+    assert _answer(resilience_exact(db, q_chain, prefer="bnb")) == answers[0]
 
 
-def test_dense_chain_components_close_before_highs(unforced):
+def test_forced_solvers_run_one_backend_on_every_path(monkeypatch):
+    """``forced_engines(solver=...)`` reaches the serial solve, the
+    parallel component tasks and the incremental session alike, under a
+    row budget that leaves the instance mixed."""
+    db = _four_chain_pieces()
+    monkeypatch.setattr(exact, "EXACT_SEARCH_ROWS", 100)
+    for solver, method in (("bnb", "branch-and-bound"), ("ilp", "ilp")):
+        with forced_engines(solver=solver):
+            answers = _answers_on_every_path(db)
+        assert all(a == answers[0] for a in answers), (solver, answers)
+        assert answers[0][2] == method
+
+
+def test_dense_chain_components_close_before_highs():
     """Exclusion branching with unit propagation closes most dense
     chain components inside the row budget: over 36 random q_chain and
     q_3chain instances at most 9 solves fall through to HiGHS (18 did
@@ -232,7 +247,7 @@ def test_dense_chain_components_close_before_highs(unforced):
     assert fell_through <= 9
 
 
-def test_probes_and_searches_leave_no_cyclic_garbage(unforced):
+def test_probes_and_searches_leave_no_cyclic_garbage():
     """Per-call evaluation indexes and search closures are freed by
     reference counting, not left for the cyclic collector."""
     db = _four_chain_pieces()

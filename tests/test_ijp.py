@@ -5,6 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles.ijp import (
+    ijp_search_reference,
+    merge_copies,
+    rgs_reference,
+    set_partitions,
+)
 from repro.db import Database, DBTuple
 from repro.ijp import (
     canonical_database,
@@ -16,8 +22,6 @@ from repro.ijp import (
     example_61_failed,
     find_ijp_pair,
     ijp_search,
-    ijp_search_reference,
-    set_partitions,
 )
 from repro.ijp import rgs as rgs_mod
 from repro.ijp.space import PartitionSpace, sweep_space
@@ -203,7 +207,7 @@ class TestRGS:
 
     @given(st.integers(min_value=0, max_value=6))
     def test_leaf_batches_match_reference_enumeration(self, n):
-        reference = list(rgs_mod.rgs_reference(n))
+        reference = list(rgs_reference(n))
         leaves = [
             tuple(int(d) for d in row)
             for batch in rgs_mod.iter_leaf_batches(n)
@@ -218,12 +222,12 @@ class TestRGS:
             for batch in rgs_mod.iter_leaf_batches(n, max_rows=max_rows)
             for row in batch.codes
         ]
-        assert small == list(rgs_mod.rgs_reference(n))
+        assert small == list(rgs_reference(n))
 
     @given(st.integers(min_value=1, max_value=7))
     def test_partition_roundtrip(self, n):
         items = [("t", i) for i in range(n)]
-        for code in rgs_mod.rgs_reference(n):
+        for code in rgs_reference(n):
             partition = rgs_mod.partition_from_rgs(code, items)
             assert rgs_mod.rgs_from_partition(partition, items) == code
 
@@ -257,7 +261,7 @@ class TestRGS:
             for batch in rgs_mod.iter_leaf_batches(n, shard.codes, shard.maxes):
                 leaves.extend(tuple(int(d) for d in row) for row in batch.codes)
         assert total == rgs_mod.bell_number(n)
-        assert leaves == list(rgs_mod.rgs_reference(n))
+        assert leaves == list(rgs_reference(n))
 
 
 class TestSpaceEngine:
@@ -271,10 +275,8 @@ class TestSpaceEngine:
         space = PartitionSpace(q_vc, 2)
         expected = set()
         constants = [(tag, v) for tag in range(2) for v in sorted(q_vc.variables())]
-        from repro.ijp.search import _merge_copies
-
         for partition in set_partitions(constants):
-            db = _merge_copies(q_vc, 2, partition)
+            db = merge_copies(q_vc, 2, partition)
             if find_ijp_pair(db, q_vc) is not None:
                 expected.add(rgs_mod.rgs_from_partition(partition, space.items))
         result = sweep_space(q_vc, 2)

@@ -9,9 +9,13 @@ corrupted entries.
 
 import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core import solve_batch
 from repro.core.analyzer import ResilienceAnalyzer
 from repro.db import Database, DBTuple
@@ -32,6 +36,7 @@ from repro.witness import (
 from repro.workloads import (
     large_random_database,
     random_database_for_queries,
+    random_database_for_query,
 )
 
 # The parallel worker count exercised by this suite; the CI matrix leg
@@ -279,6 +284,44 @@ class TestResultCache:
         warm = solve_batch(pairs, cache_dir=tmp_path, workers=WORKERS)
         assert warm.stats.cache_hits == warm.stats.unique_pairs
         assert cold.values() == warm.values()
+
+    def test_former_backend_pins_do_not_reach_the_cache(self, tmp_path):
+        """A cache written by a process that sets the removed
+        ``REPRO_*_BACKEND`` variables holds what an unforced solve
+        computes, so a later run serves the fresh answer and method (a
+        pinned HiGHS run once stored this instance as ``"ilp"``)."""
+        args = "ALL_QUERIES['q_3chain'], domain_size=6, density=0.5, seed=1"
+        script = (
+            "import sys\n"
+            "from repro.core import solve_batch\n"
+            "from repro.query.zoo import ALL_QUERIES\n"
+            "from repro.workloads import random_database_for_query\n"
+            f"db = random_database_for_query({args})\n"
+            "solve_batch([(db, ALL_QUERIES['q_3chain'])], cache_dir=sys.argv[1])\n"
+        )
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(Path(repro.__file__).resolve().parent.parent),
+            REPRO_SOLVER_BACKEND="ilp",
+            REPRO_KERNEL_BACKEND="reference",
+            REPRO_JOIN_BACKEND="reference",
+        )
+        subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)], env=env, check=True
+        )
+        query = ALL_QUERIES["q_3chain"]
+        db = random_database_for_query(query, domain_size=6, density=0.5, seed=1)
+        clear_witness_cache()
+        cached = solve_batch([(db, query)], cache_dir=tmp_path)
+        assert cached.stats.cache_hits == 1
+        clear_witness_cache()
+        (fresh,) = solve_batch([(db, query)])
+        (served,) = cached
+        assert (served.value, served.contingency_set, served.method) == (
+            fresh.value,
+            fresh.contingency_set,
+            fresh.method,
+        )
 
     def test_key_separates_modes_and_budgets(self):
         (db, q) = self._pairs()[0]

@@ -8,10 +8,8 @@ reports the instance's size features.  This module pins
   invariance under active-domain renaming and declaration order (the
   machinery of ``tests/test_properties.py``), and monotonicity of the
   size features under endogenous insertion;
-* that the plan's exact solver is the backend ``REPRO_SOLVER_BACKEND``
-  forces, or ``"auto"`` (the exact tier picks per component), whether
-  or not a witness structure is cached;
-* environment-variable validation and explicit ``method`` precedence;
+* that a plan does not depend on whether a witness structure is
+  cached, and explicit ``method`` precedence;
 * that serving admission sizes requests by the same endogenous tuple
   count (Definition 1) the features report;
 * the ``repro planner explain`` CLI.
@@ -24,14 +22,12 @@ in ``conftest.py``; do not pin ``max_examples`` here.
 import json
 
 import hypothesis.strategies as st
-import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.db import Database, endogenous_tuple_count
 from repro.planner import extract_features, plan_instance
 from repro.query.evaluation import WITNESS_ESTIMATE_CAP
 from repro.query.zoo import ALL_QUERIES, q_chain, q_a_chain
-from repro.resilience.exact import solver_backend_override
 from repro.resilience.solver import solve
 from repro.serving.admission import DEFAULT_MAX_EXACT_TUPLES, AdmissionPolicy
 from repro.serving.wire import SolveRequest
@@ -148,16 +144,6 @@ class TestFeatureProperties:
             len(edge_list) ** 2, WITNESS_ESTIMATE_CAP
         )
 
-    def test_solver_is_auto_with_or_without_a_cached_structure(
-        self, monkeypatch
-    ):
-        monkeypatch.delenv("REPRO_SOLVER_BACKEND", raising=False)
-        db, query = _instance("q_chain", seed=5)
-        clear_witness_cache()
-        assert plan_instance(db, query).solver == "auto"
-        witness_structure(db, query)
-        assert plan_instance(db, query).solver == "auto"
-
     def test_cache_peek_does_not_disturb_cache_telemetry(self):
         from repro.witness import witness_cache_info
 
@@ -169,26 +155,10 @@ class TestFeatureProperties:
 
 
 # ---------------------------------------------------------------------------
-# Precedence: explicit kwarg > env var > the layer's rule
+# Precedence: an explicit kwarg beats the layer's rule
 # ---------------------------------------------------------------------------
 
 class TestPrecedence:
-    def test_env_var_beats_the_per_component_rule(self, monkeypatch):
-        db, query = _instance("q_chain", seed=0)
-        witness_structure(db, query)
-        for forced in ("bnb", "ilp"):
-            monkeypatch.setenv("REPRO_SOLVER_BACKEND", forced)
-            assert solver_backend_override() == forced
-            assert plan_instance(db, query).solver == forced
-        monkeypatch.delenv("REPRO_SOLVER_BACKEND")
-        assert solver_backend_override() is None
-        assert plan_instance(db, query).solver == "auto"
-
-    def test_invalid_solver_backend_env_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOLVER_BACKEND", "simplex")
-        with pytest.raises(ValueError, match="REPRO_SOLVER_BACKEND"):
-            solver_backend_override()
-
     def test_explicit_method_kwarg_beats_everything(self):
         """method='exact' forces the hitting-set path even for a
         PTIME-dispatched query."""
@@ -255,34 +225,23 @@ class TestAdmissionSizing:
 # ---------------------------------------------------------------------------
 
 class TestPlanShape:
-    def test_plan_signature_and_features_are_stable(self, monkeypatch):
-        for layer in ("JOIN", "KERNEL", "SOLVER"):
-            monkeypatch.delenv(f"REPRO_{layer}_BACKEND", raising=False)
+    def test_plan_signature_and_features_are_stable(self):
         db, query = _instance("q_chain", seed=10)
         clear_witness_cache()
         plan = plan_instance(db, query)
-        assert plan.signature() == (
-            "join=reference,kernel=bitset,solver=auto,split=no"
-        )
+        assert plan.signature() == "join=reference,split=no"
         payload = plan.features.as_dict()
         assert payload["endogenous_tuples"] == len(db)
         json.dumps(payload)
 
-    def test_solver_pin_is_the_forced_backend_or_auto(self, monkeypatch):
-        """The plan's solver never depends on the instance: the exact
-        tier decides per component while it solves."""
-        for forced in (None, "bnb", "ilp"):
-            if forced is None:
-                monkeypatch.delenv("REPRO_SOLVER_BACKEND", raising=False)
-            else:
-                monkeypatch.setenv("REPRO_SOLVER_BACKEND", forced)
-            for family in ("q_chain", "q_3chain", "q_sj1_rats"):
-                for seed in (0, 3, 11):
-                    db, query = _instance(family, seed)
-                    clear_witness_cache()
-                    witness_structure(db, query)
-                    plan = plan_instance(db, query)
-                    assert plan.solver == (forced or "auto")
+    def test_plan_does_not_depend_on_a_cached_structure(self):
+        for family in ("q_chain", "q_3chain", "q_sj1_rats"):
+            for seed in (0, 3, 11):
+                db, query = _instance(family, seed)
+                clear_witness_cache()
+                cold = plan_instance(db, query)
+                witness_structure(db, query)
+                assert plan_instance(db, query) == cold
 
     def test_cli_explain_smoke(self, tmp_path, capsys):
         from repro.cli import main

@@ -5,6 +5,7 @@ import pytest
 from repro.db import Database
 from repro.query import parse_query
 from repro.query.zoo import (
+    ALL_QUERIES,
     q_A3perm_R,
     q_ACconf,
     q_Aperm,
@@ -29,9 +30,55 @@ from repro.resilience.flow_special import (
     solve_qperm,
     solve_qz3,
 )
-from repro.workloads import random_database_for_query
+from repro.resilience.flownet import FlowNetwork
+from repro.workloads import assign_skewed_costs, random_database_for_query
 
 SEEDS = range(25)
+
+
+def _pairwise_network(solver, database, weighted):
+    """The oracle for :meth:`LinearFlowSolver.build_network`: the same
+    network, with every fact pair of adjacent layers tested for
+    agreement on the variables its two atoms share."""
+    net = FlowNetwork()
+    atoms = [solver.query.atoms[i] for i in solver.order]
+    layers = [solver._facts_at(database, a) for a in atoms]
+    for pos, (atom, facts) in enumerate(zip(atoms, layers)):
+        exo = solver._exogenous(database, atom)
+        for fact in facts:
+            u, v = ("in", pos, fact), ("out", pos, fact)
+            if exo:
+                net.add_inf_edge(u, v)
+            else:
+                cap = database.cost(fact) if weighted else 1
+                net.add_unit_edge(u, v, payload=fact, capacity=cap)
+    for fact in layers[0]:
+        net.source_edge(("in", 0, fact))
+    last = len(atoms) - 1
+    for fact in layers[last]:
+        net.sink_edge(("out", last, fact))
+    for pos in range(last):
+        a, b = atoms[pos], atoms[pos + 1]
+        for fa in layers[pos]:
+            for fb in layers[pos + 1]:
+                values = dict(zip(a.args, fa.values))
+                if all(
+                    values.get(var, val) == val
+                    for var, val in zip(b.args, fb.values)
+                ):
+                    net.add_inf_edge(("out", pos, fa), ("in", pos + 1, fb))
+    return net
+
+
+def _linear_zoo():
+    names = []
+    for name, query in ALL_QUERIES.items():
+        try:
+            LinearFlowSolver(query)
+        except ValueError:
+            continue
+        names.append(name)
+    return names
 
 
 class TestLinearFlow:
@@ -76,6 +123,23 @@ class TestLinearFlow:
         flow = resilience_linear_flow(db, q_ACconf)
         exact = resilience_exact(db, q_ACconf)
         assert flow.value == exact.value
+
+    @pytest.mark.parametrize("name", _linear_zoo())
+    def test_network_equals_the_pairwise_construction(self, name):
+        """Same nodes and edges, in the same insertion order, with unit
+        and with skewed costs."""
+        query = ALL_QUERIES[name]
+        solver = LinearFlowSolver(query)
+        for seed in range(3):
+            db = random_database_for_query(
+                query, domain_size=5, density=0.4, seed=seed
+            )
+            assign_skewed_costs(db, seed=seed)
+            for weighted in (False, True):
+                net = solver.build_network(db, weighted=weighted)
+                oracle = _pairwise_network(solver, db, weighted)
+                assert list(net._nodes.items()) == list(oracle._nodes.items())
+                assert list(net._edges.items()) == list(oracle._edges.items())
 
     def test_flow_contingency_set_valid(self):
         db = random_database_for_query(q_ACconf, domain_size=5, density=0.5, seed=3)

@@ -27,6 +27,7 @@ import pickle
 import random
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -71,7 +72,7 @@ def _instance(name, seed):
     """One deterministic skewed-cost instance (same recipe as the
     weighted matrix, so the two suites cover the same population)."""
     query = ALL_QUERIES[name]
-    rng = random.Random((hash(name) & 0xFFFF) * 1000 + seed)
+    rng = random.Random(zlib.crc32(name.encode()) * 1000 + seed)
     db = random_database_for_query(
         query,
         domain_size=rng.randint(4, 5),

@@ -5,8 +5,9 @@ zoo queries alike — cross-checked every way the engine can disagree
 with itself:
 
 * **kernels** — the frozenset reference and the bitset matrix kernel
-  (``REPRO_KERNEL_BACKEND``) must produce identical weighted results
-  (value, contingency set, method) in every mode;
+  (forced through ``oracles.engines.forced_engines``) must produce
+  identical weighted results (value, contingency set, method) in every
+  mode;
 * **min cut** — the scipy csgraph cut and the networkx oracle
   (:func:`oracles.flow.networkx_min_cut`, patched over
   ``FlowNetwork.min_cut``) must produce equal weighted *values* with
@@ -26,10 +27,14 @@ with itself:
 
 import os
 import random
-from contextlib import contextmanager
+import subprocess
+import sys
+import zlib
+from pathlib import Path
 
 import pytest
 
+from oracles.engines import forced_engines
 from oracles.flow import patched_min_cut
 from repro.core.analyzer import solve_batch
 from repro.query.zoo import ALL_QUERIES
@@ -53,24 +58,6 @@ HARD_QUERIES = ("q_chain", "q_3chain", "q_sj1_rats", "q_conf", "q_triangle_sj1")
 SEEDS_PER_QUERY = 25
 
 
-@contextmanager
-def _env(**overrides):
-    old = {key: os.environ.get(key) for key in overrides}
-    try:
-        for key, value in overrides.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
-        yield
-    finally:
-        for key, value in old.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
-
-
 def _matrix_queries():
     names = [n for n in PTIME_QUERIES if n in ALL_QUERIES] + list(HARD_QUERIES)
     assert len(names) * SEEDS_PER_QUERY >= 200
@@ -78,9 +65,10 @@ def _matrix_queries():
 
 
 def _instance(name, seed):
-    """One deterministic skewed-cost instance of the matrix."""
+    """One deterministic skewed-cost instance of the matrix (seeded from
+    a CRC of the name: ``hash`` of a str differs per process)."""
     query = ALL_QUERIES[name]
-    rng = random.Random((hash(name) & 0xFFFF) * 1000 + seed)
+    rng = random.Random(zlib.crc32(name.encode()) * 1000 + seed)
     db = random_database_for_query(
         query,
         domain_size=rng.randint(4, 5),
@@ -98,23 +86,67 @@ def _weighted_exact(db, query):
         return None
 
 
+def _digests_in_fresh_interpreter(hash_seed):
+    """Content digests of instances of this matrix and of the storage
+    suite's (same recipe), built by a fresh interpreter."""
+    import repro
+
+    tests_dir = Path(__file__).resolve().parent
+    src_dir = Path(repro.__file__).resolve().parent.parent
+    script = (
+        "import test_storage, test_weighted_backends\n"
+        "for module in (test_weighted_backends, test_storage):\n"
+        "    for name in ('q_perm', 'q_chain', 'q_triangle_sj1'):\n"
+        "        for seed in (0, 5):\n"
+        "            db, _ = module._instance(name, seed)\n"
+        "            print(db.content_digest())\n"
+    )
+    env = dict(
+        os.environ,
+        PYTHONHASHSEED=str(hash_seed),
+        PYTHONPATH=os.pathsep.join((str(src_dir), str(tests_dir))),
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=tests_dir,
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return done.stdout.split()
+
+
+def test_instances_do_not_depend_on_the_hash_seed():
+    """A failing matrix id names the same instance in every process."""
+    first = _digests_in_fresh_interpreter(1)
+    assert len(first) == 12
+    assert _digests_in_fresh_interpreter(2) == first
+    here = [
+        _instance(name, seed)[0].content_digest()
+        for name in ("q_perm", "q_chain", "q_triangle_sj1")
+        for seed in (0, 5)
+    ]
+    assert here == first[:6]
+
+
 class TestKernelBackendsAgreeWeighted:
     @pytest.mark.parametrize("name", _matrix_queries())
     def test_reference_and_bitset_kernels_identical(self, name):
         for seed in range(SEEDS_PER_QUERY):
             db, query = _instance(name, seed)
             answers = {}
-            for backend in ("reference", "bitset"):
-                with _env(REPRO_KERNEL_BACKEND=backend):
+            for kernel in ("reference", None):
+                with forced_engines(kernel=kernel):
                     clear_witness_cache()
                     res = _weighted_exact(db, query)
-                answers[backend] = (
+                answers[kernel] = (
                     res
                     if res is None
                     else (res.value, res.contingency_set, res.method)
                 )
             clear_witness_cache()
-            assert answers["reference"] == answers["bitset"], (name, seed)
+            assert answers["reference"] == answers[None], (name, seed)
 
 
 class TestFlowBackendsAgreeWeighted:
