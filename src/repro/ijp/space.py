@@ -402,7 +402,8 @@ class PartitionSpace:
             for name in sorted(db.relations):
                 if flags.get(name, False):
                     continue
-                for ta, tb in combinations(sorted(db.relations[name]), 2):
+                facts = sorted(db.relations[name], key=DBTuple.sort_key)
+                for ta, tb in combinations(facts, 2):
                     conditions, _ = check_conditions_1_4(
                         db, self.query, ta, tb, all_sets=all_sets, flags=flags
                     )
@@ -414,7 +415,8 @@ class PartitionSpace:
                 for s in all_sets
                 for t in s
                 if not flags.get(t.relation, False)
-            }
+            },
+            key=DBTuple.sort_key,
         )
         return LeafEvaluation(
             rgs=tuple(int(c) for c in code),

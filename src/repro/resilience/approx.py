@@ -12,8 +12,10 @@ view of resilience from Section 2), component by component:
 
 * *LP relaxation* — ``min 1.x  s.t.  A x >= 1, 0 <= x <= 1`` over the
   component's CSR incidence matrix, solved by
-  :func:`scipy.optimize.linprog` (HiGHS); ``ceil(LP - eps)`` is a valid
-  integral lower bound because the LP relaxes the hitting-set IP.
+  :func:`scipy.optimize.linprog` (HiGHS dual simplex, or interior point
+  for large LPs whose tuples lie in many witnesses); ``ceil(LP - eps)``
+  is a valid integral lower bound because the LP relaxes the
+  hitting-set IP.
 * *Disjoint-witness packing* — a greedy matching of pairwise-disjoint
   witness sets; any hitting set spends one tuple per packed witness
   (weak LP duality: the packing is a feasible dual solution).
@@ -28,6 +30,9 @@ view of resilience from Section 2), component by component:
 * *LP rounding* — take every tuple with LP weight ``>= 1/f`` (``f`` =
   the largest witness-set size), a feasible ``f``-approximation, then
   prune redundant tuples;
+* *LP-support greedy* — the greedy over the witnesses cut down to the
+  tuples of positive LP weight, so the bound does not hang on which
+  optimal LP solution the solver returns;
 * *Local search* — redundancy elimination plus 2-for-1 swap moves on
   the incumbent.
 
@@ -90,10 +95,38 @@ T = TypeVar("T")
 # not cover an overshoot on an optimum of order 1000.
 _LP_EPS = 1e-6
 
+# The HiGHS method for a component's LP, by the shape of its incidence
+# matrix (the sweep in docs/solvers.md).  There, dual simplex time grew
+# roughly with rows times columns and interior-point time with the
+# nonzeros, so interior point won from about 200 columns once the
+# average tuple lay in a dozen witnesses.  LPs whose witnesses have two
+# tuples (vertex-cover LPs, which are half-integral) were faster on
+# simplex at every size and density measured.
+_LP_IPM_MIN_COLS = 200
+_LP_IPM_MIN_NNZ_PER_COL = 12
+_LP_IPM_MIN_NNZ_PER_ROW = 2.5
+
+# An LP weight above this puts a tuple in the support the support-guided
+# greedy draws from.
+_LP_SUPPORT_EPS = 1e-9
+
 
 def _lp_floor(lp_value: float) -> int:
     """A certified integral lower bound from a floating-point LP optimum."""
     return math.ceil(lp_value - _LP_EPS * max(1.0, abs(lp_value)))
+
+
+def _lp_method(rows: int, cols: int, nnz: int) -> str:
+    """The scipy ``linprog`` method for an LP of this shape: HiGHS
+    interior point for large LPs with many witnesses per tuple and more
+    than two tuples per witness, dual simplex otherwise."""
+    if (
+        cols >= _LP_IPM_MIN_COLS
+        and nnz >= _LP_IPM_MIN_NNZ_PER_COL * cols
+        and nnz >= _LP_IPM_MIN_NNZ_PER_ROW * rows
+    ):
+        return "highs-ipm"
+    return "highs"
 
 
 def _ids_cost(ids, costs) -> int:
@@ -119,17 +152,43 @@ class _Incidence:
 
     __slots__ = ("sets", "rows_of")
 
-    def __init__(self, sets: Sequence[FrozenSet[T]]):
+    def __init__(
+        self,
+        sets: Sequence[FrozenSet[T]],
+        rows_of: Optional[Dict[T, List[int]]] = None,
+    ):
         self.sets = list(sets)
-        rows_of: Dict[T, List[int]] = {}
-        for r, s in enumerate(self.sets):
-            for t in s:
-                rows = rows_of.get(t)
-                if rows is None:
-                    rows_of[t] = [r]
-                else:
-                    rows.append(r)
+        if rows_of is None:
+            rows_of = {}
+            for r, s in enumerate(self.sets):
+                for t in s:
+                    rows = rows_of.get(t)
+                    if rows is None:
+                        rows_of[t] = [r]
+                    else:
+                        rows.append(r)
         self.rows_of = rows_of
+
+    def restricted(self, keep: Set[T]) -> "_Incidence":
+        """The index of the rows cut down to the elements of ``keep`` (a
+        subset of this index's elements); a row with no element in
+        ``keep`` keeps all of its elements.
+
+        A kept element lies in all of its rows, so its row list is
+        shared with this index, as is every row already inside ``keep``.
+        """
+        rows_of = {t: self.rows_of[t] for t in keep}
+        sets = []
+        for r, s in enumerate(self.sets):
+            if not s <= keep:
+                cut = s & keep
+                if cut:
+                    s = cut
+                else:
+                    for t in s:
+                        rows_of.setdefault(t, []).append(r)
+            sets.append(s)
+        return _Incidence(sets, rows_of)
 
     def cover(self, chosen) -> List[int]:
         """The number of ``chosen`` elements in each row."""
@@ -287,10 +346,12 @@ def _lp_component(component: WitnessComponent, costs=None):
     """Solve the LP relaxation of one component's hitting-set IP.
 
     With ``costs`` the objective vector carries the per-tuple costs, so
-    the optimum lower-bounds the *weighted* hitting-set IP.  Returns
-    ``(optimum, x)`` with ``x`` indexed by local column (the sorted
-    position within ``component.tuple_ids``), or ``(None, None)`` if
-    the LP solver fails (the caller falls back to the packing bound).
+    the optimum lower-bounds the *weighted* hitting-set IP.  The HiGHS
+    method comes from the matrix's shape (:func:`_lp_method`); both
+    reach the same optimum, but not always the same optimal ``x``.
+    Returns ``(optimum, x)`` with ``x`` indexed by local column (the
+    sorted position within ``component.tuple_ids``), or ``(None, None)``
+    if the LP solver fails (the caller falls back to the packing bound).
     """
     linprog = _linprog()
 
@@ -305,9 +366,9 @@ def _lp_component(component: WitnessComponent, costs=None):
         A_ub=-A,
         b_ub=-np.ones(m),
         bounds=(0.0, 1.0),
-        method="highs",
+        method=_lp_method(m, n, A.nnz),
     )
-    if not result.success:  # pragma: no cover - HiGHS is reliable here
+    if not result.success:
         return None, None
     return float(result.fun), result.x
 
@@ -341,6 +402,39 @@ def _lp_rounding(
             for q in rows_of[t]:
                 cover[q] += 1
     return chosen
+
+
+def _support_greedy(
+    component: WitnessComponent,
+    x,
+    index: _Incidence,
+    greedy: Set[int],
+    costs=None,
+) -> Optional[Set[int]]:
+    """The greedy hitting set drawn from the LP support (global tuple
+    ids), or None when that is ``greedy``, the greedy over all tuples.
+
+    The support (tuples of weight above ``_LP_SUPPORT_EPS``) meets every
+    row of a feasible LP solution, so the greedy over the rows cut down
+    to it is feasible; a row the solver's tolerance left without a
+    support tuple keeps all of its tuples.  The LP's optimum is unique
+    but its optimal ``x`` is not, and rounding alone can read a looser
+    set off one optimal ``x`` than off another: this candidate keeps
+    the upper bound from hanging on which one the solver returned.
+
+    A support tuple keeps every row it lies in, so its count in the cut
+    rows is its count in the full rows, and any other tuple's count can
+    only be lower.  While the full greedy picks support tuples, the cut
+    greedy therefore makes the same picks: when ``greedy`` lies inside
+    the support the two are equal, and the cut greedy is not run.
+    """
+    tuple_ids = component.tuple_ids
+    support = {
+        tuple_ids[j] for j in np.flatnonzero(x > _LP_SUPPORT_EPS).tolist()
+    }
+    if greedy <= support:
+        return None
+    return _greedy(index.restricted(support), costs)
 
 
 # ---------------------------------------------------------------------------
@@ -822,19 +916,34 @@ def _component_interval(
     With ``costs`` every bound is on the weighted objective: the packing
     bound sums cheapest-per-witness costs, the greedy maximizes the
     coverage/cost ratio, and the LP relaxation carries the cost vector.
+
+    The upper bound is the cheapest of three local-searched candidates,
+    earliest on ties: the greedy, the LP rounding, and the greedy over
+    the LP support.  A candidate is skipped once the interval has
+    closed, since none can then be cheaper, and so is a support greedy
+    that repeats the greedy's set.
     """
     lower = disjoint_witness_lower_bound(component.sets, costs=costs)
     index = _Incidence(component.sets)
-    upper = _local_search(index, _greedy(index, costs), costs=costs)
+    greedy = _greedy(index, costs)
+    upper = _local_search(index, greedy, costs=costs)
     if lower < _ids_cost(upper, costs):
         lp_value, x = _lp_component(component, costs=costs)
         if lp_value is not None:
             lower = max(lower, _lp_floor(lp_value))
-            rounded = _local_search(
-                index, _lp_rounding(component, x, index), costs=costs
+            starts = (
+                lambda: _lp_rounding(component, x, index),
+                lambda: _support_greedy(component, x, index, greedy, costs),
             )
-            if _ids_cost(rounded, costs) < _ids_cost(upper, costs):
-                upper = rounded
+            for start in starts:
+                if lower >= _ids_cost(upper, costs):
+                    break
+                chosen = start()
+                if chosen is None:
+                    continue
+                candidate = _local_search(index, chosen, costs=costs)
+                if _ids_cost(candidate, costs) < _ids_cost(upper, costs):
+                    upper = candidate
     return lower, upper
 
 

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import json
 import queue
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Iterator, Optional, Tuple
@@ -628,6 +629,14 @@ class _Server(ThreadingHTTPServer):
     # Requests are independent; a slow client must not wedge a worker
     # thread forever.
     timeout = 60
+
+    def handle_error(self, request, client_address) -> None:
+        # A client that resets or abandons its connection has simply
+        # disconnected: no traceback for it.  Anything else is a fault.
+        error = sys.exc_info()[1]
+        if isinstance(error, (ConnectionResetError, BrokenPipeError)):
+            return
+        super().handle_error(request, client_address)
 
 
 class ResilienceServer:

@@ -131,7 +131,10 @@ def witness_cache_info() -> Tuple[int, int, int]:
 # propagation, so under an unchanged key an exact result may carry
 # another optimum on ties or another ``method`` label (more components
 # close before HiGHS), and a node-budgeted anytime interval may differ.
-CACHE_SCHEMA = 4
+# Schema 5: the certified bounds solve large LPs by interior point and
+# add a candidate drawn from the LP support, so under an unchanged key
+# an approx or anytime upper bound (and its set) may differ.
+CACHE_SCHEMA = 5
 
 
 def _canonical_pair_text(database: Database, query: ConjunctiveQuery) -> str:

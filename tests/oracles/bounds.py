@@ -1,12 +1,12 @@
 """Reference versions of the certified-bounds upper-bound code.
 
-:mod:`repro.resilience.approx` runs its greedy, prune, swap search and
-LP-rounding repair on a per-component incidence index, and every output
-must be bit-identical to these straightforward versions: the greedy
-rescans every count on each pick, and the prune and the swap search
-rebuild their per-row cover counts from scratch on every call.
-``_component_interval`` composes them the way the engine does, so a
-test can monkeypatch it in and compare whole solves.
+:mod:`repro.resilience.approx` runs its greedy, prune, swap search,
+LP-rounding repair and LP-support greedy on a per-component incidence
+index, and every output must be bit-identical to these straightforward
+versions: the greedy rescans every count on each pick, and the prune
+and the swap search rebuild their per-row cover counts from scratch on
+every call.  ``_component_interval`` composes them the way the engine
+does, so a test can monkeypatch it in and compare whole solves.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Sequence, Set, Tuple, TypeVar
 
 from repro.resilience.approx import (
+    _LP_SUPPORT_EPS,
     _ids_cost,
     _lp_component,
     _lp_floor,
@@ -115,6 +116,17 @@ def _lp_rounding(component: WitnessComponent, x, costs=None) -> Set[int]:
         if not (s & chosen):
             chosen.add(min(s))
     return _prune_redundant(component.sets, chosen, costs=costs)
+
+
+def _support_greedy(component: WitnessComponent, x, costs=None) -> Set[int]:
+    """The greedy over the witnesses cut down to the LP support (the
+    tuples of weight above ``_LP_SUPPORT_EPS``); a witness with no
+    support tuple keeps all of its tuples."""
+    support = {
+        t for j, t in enumerate(component.tuple_ids) if x[j] > _LP_SUPPORT_EPS
+    }
+    restricted = [(s & support) or s for s in component.sets]
+    return greedy_hitting_set(restricted, costs=costs)
 
 
 def _prune_redundant(
@@ -235,6 +247,8 @@ def _component_interval(
     With ``costs`` every bound is on the weighted objective: the packing
     bound sums cheapest-per-witness costs, the greedy maximizes the
     coverage/cost ratio, and the LP relaxation carries the cost vector.
+    The upper bound is the cheapest of the greedy, the LP rounding and
+    the LP-support greedy, each local-searched, earliest on ties.
     """
     lower = disjoint_witness_lower_bound(component.sets, costs=costs)
     upper = _local_search(
@@ -246,11 +260,11 @@ def _component_interval(
         lp_value, x = _lp_component(component, costs=costs)
         if lp_value is not None:
             lower = max(lower, _lp_floor(lp_value))
-            rounded = _local_search(
-                component.sets,
+            for start in (
                 _lp_rounding(component, x, costs=costs),
-                costs=costs,
-            )
-            if _ids_cost(rounded, costs) < _ids_cost(upper, costs):
-                upper = rounded
+                _support_greedy(component, x, costs=costs),
+            ):
+                candidate = _local_search(component.sets, start, costs=costs)
+                if _ids_cost(candidate, costs) < _ids_cost(upper, costs):
+                    upper = candidate
     return lower, upper

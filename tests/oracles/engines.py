@@ -5,9 +5,12 @@ join runs columnar for snapshot-backed databases and from
 ``MIN_TUPLES_DEFAULT`` tuples, the kernel reduction runs on id matrices
 from ``_BITSET_MIN_SETS`` witness sets and decomposes with csgraph from
 ``_DECOMPOSE_MATRIX_MIN_SETS``, the hitting-set search runs on bitmasks
-from ``_BNB_BITSET_MIN_SETS`` sets, and the exact tier sends a
+from ``_BNB_BITSET_MIN_SETS`` sets, the exact tier sends a
 component to HiGHS once its search has spent ``EXACT_SEARCH_ROWS`` rows
-(``EXACT_SEARCH_ROWS_WEIGHTED`` with costs).  :func:`forced_engines`
+(``EXACT_SEARCH_ROWS_WEIGHTED`` with costs), and the certified bounds
+solve an LP by interior point from ``_LP_IPM_MIN_COLS`` columns with
+``_LP_IPM_MIN_NNZ_PER_COL`` nonzeros per column and
+``_LP_IPM_MIN_NNZ_PER_ROW`` per row.  :func:`forced_engines`
 patches that module state for the duration of a ``with`` block, as
 :func:`oracles.flow.patched_min_cut` does for the min cut, so the
 differential suites and benchmarks can run each layer's other path.
@@ -28,6 +31,12 @@ from repro.witness import structure
 JOINS = (None, "columnar", "reference")
 KERNELS = (None, "reference")
 SOLVERS = (None, "bnb", "ilp")
+LPS = (None, "simplex", "ipm")
+_LP_RULE = (
+    "_LP_IPM_MIN_COLS",
+    "_LP_IPM_MIN_NNZ_PER_COL",
+    "_LP_IPM_MIN_NNZ_PER_ROW",
+)
 
 
 def _giving_up(search):
@@ -42,7 +51,7 @@ def _giving_up(search):
 
 
 @contextmanager
-def forced_engines(join=None, kernel=None, solver=None):
+def forced_engines(join=None, kernel=None, solver=None, lp=None):
     """Within the block, every solve in this process takes the forced
     paths; ``None`` keeps a layer's own rule.
 
@@ -53,11 +62,19 @@ def forced_engines(join=None, kernel=None, solver=None):
     * ``solver="bnb"``: every exact component is searched without a row
       limit, so it returns ``_bnb_component``'s set and HiGHS never runs;
     * ``solver="ilp"``: the row-limited search gives up at once, so
-      HiGHS solves every exact component.
+      HiGHS solves every exact component;
+    * ``lp="simplex"`` / ``"ipm"``: every LP of the certified bounds is
+      solved by HiGHS dual simplex, or by its interior-point method.
     """
-    if join not in JOINS or kernel not in KERNELS or solver not in SOLVERS:
+    if (
+        join not in JOINS
+        or kernel not in KERNELS
+        or solver not in SOLVERS
+        or lp not in LPS
+    ):
         raise ValueError(
-            f"unknown engines join={join!r} kernel={kernel!r} solver={solver!r}"
+            f"unknown engines join={join!r} kernel={kernel!r} "
+            f"solver={solver!r} lp={lp!r}"
         )
     with ExitStack() as stack:
         if join is not None:
@@ -83,4 +100,10 @@ def forced_engines(join=None, kernel=None, solver=None):
                     _giving_up(exact._search_component),
                 )
             )
+        if lp is not None:
+            threshold = sys.maxsize if lp == "simplex" else 0
+            for name in _LP_RULE:
+                stack.enter_context(
+                    mock.patch.object(approx, name, threshold)
+                )
         yield

@@ -1,11 +1,12 @@
 """The indexed upper-bound code against its pre-rewrite oracle.
 
-:mod:`repro.resilience.approx` computes its greedy, prune, swap search
-and LP-rounding repair on one per-component incidence index, with cover
-counts updated in place.  Every output must be *bit-identical* to the
-straightforward versions kept in :mod:`oracles.bounds`: the same chosen
-sets in unit and weighted modes, under any effort caps, and the same
-intervals and contingency sets from whole solves.
+:mod:`repro.resilience.approx` computes its greedy, prune, swap search,
+LP-rounding repair and LP-support greedy on one per-component incidence
+index, with cover counts updated in place.  Every output must be
+*bit-identical* to the straightforward versions kept in
+:mod:`oracles.bounds`: the same chosen sets in unit and weighted modes,
+under any effort caps, and the same intervals and contingency sets from
+whole solves (under either LP method).
 """
 
 from contextlib import contextmanager
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import bounds as oracle
+from oracles.engines import forced_engines
 from repro.db.tuples import DBTuple
 from repro.query.zoo import ALL_QUERIES
 from repro.resilience import approx
@@ -23,6 +25,7 @@ from repro.resilience.approx import (
     _Incidence,
     _local_search,
     _lp_rounding,
+    _support_greedy,
     greedy_hitting_set,
 )
 from repro.resilience.solver import solve
@@ -239,6 +242,43 @@ class TestRoundingAndInterval:
             oracle._local_search(sets, oracle._lp_rounding(component, x, costs), costs)
         )
 
+    @given(
+        weighted_systems(),
+        st.lists(st.sampled_from([0.0, 1e-12, 0.2, 0.5, 1.0])),
+    )
+    def test_support_greedy_matches_oracle(self, system, weights):
+        # Zero weights leave rows without a support tuple: those rows
+        # keep all of their tuples.
+        sets, costs = system
+        universe = tuple(sorted(set().union(*sets)))
+        component = WitnessComponent(universe, tuple(sets))
+        x = np.array([
+            weights[j % len(weights)] if weights else 0.0
+            for j in range(len(universe))
+        ])
+        index = _Incidence(sets)
+        greedy = greedy_hitting_set(sets, costs)
+        start = _support_greedy(component, x, index, greedy, costs)
+        expected = oracle._support_greedy(component, x, costs)
+        # None: the greedy lies inside the support, and the cut greedy
+        # would repeat it.
+        assert (greedy if start is None else start) == expected
+        assert all(s & expected for s in sets)
+
+    def test_support_greedy_runs_when_the_greedy_leaves_the_support(self):
+        # The greedy takes 1, which the LP leaves at zero: the cut greedy
+        # runs on {2}, {3}, {4} and takes all three.
+        sets = [frozenset({1, 2}), frozenset({1, 3}), frozenset({1, 4})]
+        component = WitnessComponent((1, 2, 3, 4), tuple(sets))
+        x = np.array([0.0, 1.0, 1.0, 1.0])
+        index = _Incidence(sets)
+        greedy = greedy_hitting_set(sets)
+        assert greedy == {1}
+        assert _support_greedy(component, x, index, greedy) == {2, 3, 4}
+        assert oracle._support_greedy(component, x) == {2, 3, 4}
+        # Inside the support, the greedy's own set is not recomputed.
+        assert _support_greedy(component, x, index, {2, 3, 4}) is None
+
     @given(weighted_systems())
     def test_component_interval_matches_oracle(self, system):
         sets, costs = system
@@ -260,11 +300,15 @@ def _solve_both(monkeypatch, pairs, **kwargs):
 class TestWholeSolves:
     """Intervals *and* contingency sets equal the oracle's end to end."""
 
+    @pytest.mark.parametrize("lp", [None, "ipm"])
     @pytest.mark.parametrize("mode", ["approx", "anytime"])
-    def test_unit(self, monkeypatch, mode):
+    def test_unit(self, monkeypatch, mode, lp):
         pairs = hard_scaling_workload(n_tuples=150, n_databases=1, seed=5)
         budget = Budget(node_limit=300) if mode == "anytime" else None
-        ours, theirs = _solve_both(monkeypatch, pairs, mode=mode, budget=budget)
+        with forced_engines(lp=lp):
+            ours, theirs = _solve_both(
+                monkeypatch, pairs, mode=mode, budget=budget
+            )
         assert ours == theirs
         assert any(r.lower_bound < r.upper_bound for r in ours)
 

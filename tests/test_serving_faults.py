@@ -23,6 +23,8 @@ import json
 import multiprocessing
 import os
 import pickle
+import socket
+import struct
 import threading
 
 import pytest
@@ -184,6 +186,32 @@ class TestMalformedRequests:
 # ---------------------------------------------------------------------------
 # Solver failures under coalescing
 # ---------------------------------------------------------------------------
+
+
+class TestPeerReset:
+    def test_reset_mid_request_line_is_a_quiet_disconnect(self, capfd):
+        # Half a request line, then an RST instead of a FIN: the handler
+        # thread's read fails with ConnectionResetError, which the
+        # server must treat as a disconnect, not print as a fault.
+        with ResilienceServer(port=0) as server:
+            httpd = server._httpd
+            finished = threading.Event()
+
+            def shutdown_request(request, _close=httpd.shutdown_request):
+                _close(request)
+                finished.set()
+
+            httpd.shutdown_request = shutdown_request
+            sock = socket.create_connection((server.host, server.port))
+            sock.sendall(b"GET /hea")
+            sock.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+            sock.close()
+            assert finished.wait(10), "the reset connection was never closed"
+            health = ServingClient(server.address, timeout=30).health()
+            assert health["status"] == "ok"
+        assert capfd.readouterr().err == ""
 
 
 class TestSolverFaults:
