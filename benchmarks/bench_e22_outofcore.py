@@ -22,8 +22,9 @@ the instance as Python objects.
   digests, identical witness incidence matrices (universe order and
   all), and equal resilience values.
 * *Columnar pick* — a snapshot-backed instance joins columnar at any
-  size, even below the in-memory size rule, and ``repro planner
-  explain`` reports ``join=columnar`` for it.
+  size, even below the in-memory size rule: the join rule says so, the
+  backend counters show that the columnar join ran, and the value
+  equals the in-memory one.
 
 Results are written to ``BENCH_e22_outofcore.json`` at the repository
 root (same trajectory format as ``BENCH_e18_hotpaths.json``; see
@@ -42,9 +43,9 @@ import numpy as np
 import pytest
 
 import repro
-from repro.planner import plan_instance
 from repro.query.columnar import (
     MIN_TUPLES_DEFAULT,
+    _use_columnar,
     backend_counters,
     columnar_witness_incidence,
     reset_backend_counters,
@@ -179,19 +180,19 @@ def test_gate_bit_identical_to_in_memory_at_overlap(tmp_path):
     }
 
 
-def test_gate_planner_plans_out_of_core(tmp_path):
+def test_gate_snapshot_joins_columnar(tmp_path):
     """Gate: a snapshot smaller than the in-memory size rule still joins
-    columnar, and ``repro planner explain`` says so."""
+    columnar — by the rule and in the run — with the in-memory value."""
     db = chain_database(MIN_TUPLES_DEFAULT // 2, 8)
-    stored = open_stored_database(ingest_database(db, tmp_path / "plan"))
-    plan = plan_instance(stored, chain_query())
-    assert plan.join == "columnar"
-    assert plan.features.storage
+    stored = open_stored_database(ingest_database(db, tmp_path / "small"))
+    assert not _use_columnar(db)
+    assert _use_columnar(stored)
     reset_backend_counters()
     r_st = solve(stored, chain_query(), method="exact")
-    assert backend_counters()["columnar"] >= 1
+    counters = backend_counters()
+    assert counters["columnar"] >= 1, counters
     assert r_st.value == solve(db, chain_query(), method="exact").value
-    RESULTS["plan"] = {"signature": plan.signature()}
+    RESULTS["columnar"] = {"tuples": len(db), "counters": counters}
 
 
 def test_write_bench_record():
@@ -215,11 +216,10 @@ def test_write_bench_record():
             ),
             "value_matches_ground_truth": ceiling.get("value") == HOT_PAIRS,
             "bit_identical_at_overlap": "overlap" in RESULTS,
-            "planner_out_of_core": "plan" in RESULTS,
+            "columnar_out_of_core": "columnar" in RESULTS,
         },
         "ceiling": ceiling,
         "overlap": RESULTS.get("overlap"),
-        "plan": RESULTS.get("plan"),
     }
     RECORD_PATH.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     assert RECORD_PATH.exists()

@@ -6,10 +6,14 @@ The Appendix C.2 search (:mod:`repro.ijp`) enumerates set partitions of
 each merged database.  The distributed engine replaces the recursive
 one-partition-at-a-time walk (kept as the test oracle
 ``ijp_search_reference`` in ``tests/oracles/ijp.py``) with
-restricted-growth-string batches over numpy, sound prefix pruning, vectorized leaf
-screens, and an exact hitting-set prescreen for condition 5 — then
-shards the space into worker-independent lexicographic ranges with
-per-shard checkpoints.
+restricted-growth-string batches over numpy, sound prefix pruning,
+vectorized leaf screens, and an exact hitting-set prescreen for
+condition 5 — then shards the space into worker-independent
+lexicographic ranges with per-shard checkpoints.  The screens do not
+shrink this space much: at the default 3 copies no prefix is pruned,
+and 17,539 of the 21,147 leaves reach the per-database check
+(``PartitionSpace.evaluate_leaf``), so the speedup comes from checking
+a leaf faster, not from checking fewer.
 
 **Gates** (all on the Example 62 space: the triangle query at
 ``REPRO_BENCH_E23_COPIES`` copies, B(9) = 21147 partitions at the
@@ -18,7 +22,9 @@ default 3).
 * *Speedup* — covered partitions/second of the full engine sweep must
   beat the reference walk (timed on a
   ``REPRO_BENCH_E23_BASELINE_SLICE``-partition slice, default 200) by
-  ≥ 10×.
+  ≥ 10×.  Each side is timed ``TIMING_RUNS`` (3) times, alternating
+  which side goes first, and the gate is the ratio of the two medians;
+  every run is recorded.
 * *Parallel bit-identity* — a serial sweep and a
   ``REPRO_BENCH_E23_WORKERS``-worker sweep (default 2) must produce
   identical certificates, near misses, and statistics.
@@ -40,6 +46,7 @@ an artifact.
 import itertools
 import json
 import os
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -65,6 +72,9 @@ BASELINE_SLICE = max(
     20, int(os.environ.get("REPRO_BENCH_E23_BASELINE_SLICE", "200"))
 )
 SPEEDUP_GATE = 10.0 if COPIES >= 3 else 1.0
+# Runs per side of the speedup gate.  One shot of each side moved their
+# ratio by about ±20% on a shared 2-core host.
+TIMING_RUNS = 3
 
 RESULTS = {}
 
@@ -100,36 +110,71 @@ def _reference_partitions_per_second(k: int, limit: int) -> dict:
     }
 
 
-def test_gate_speedup_vs_reference():
-    """Gate: the engine covers ≥ 10× more partitions/second than the
-    recursive reference walk on the triangle space.
-
-    The 10× claim amortizes batch setup over the B(9) = 21147-partition
-    space; the reduced CI smoke (``REPRO_BENCH_E23_COPIES=2``, a
-    203-partition space dominated by fixed overhead) measures and
-    records the ratio but gates only on the engine not being *slower*.
-    """
-    baseline = _reference_partitions_per_second(COPIES, BASELINE_SLICE)
-
+def _engine_sweep() -> dict:
+    """Time one full engine sweep of the space."""
     started = time.perf_counter()
     sweep = sweep_range(q_triangle, COPIES, query_name="q_triangle")
     seconds = time.perf_counter() - started
     assert sweep.stats.exhausted
-    engine_pps = sweep.stats.covered / seconds
-    speedup = engine_pps / baseline["partitions_per_second"]
+    return {
+        "sweep": sweep,
+        "seconds": seconds,
+        "partitions_per_second": sweep.stats.covered / seconds,
+    }
 
-    RESULTS["serial"] = sweep
+
+def test_gate_speedup_vs_reference():
+    """Gate: the engine covers ≥ 10× more partitions/second than the
+    recursive reference walk on the triangle space.
+
+    Both sides run ``TIMING_RUNS`` times, alternating which goes first
+    so that drift in the host's load lands on both; the gate divides
+    the median rates, never a best run.  The 10× claim amortizes batch
+    setup over the B(9) = 21147-partition space; the reduced CI smoke
+    (``REPRO_BENCH_E23_COPIES=2``, a 203-partition space dominated by
+    fixed overhead) measures and records the ratio but gates only on
+    the engine not being *slower*.
+    """
+    runs = []
+    sweeps = []
+    for run in range(TIMING_RUNS):
+        first = "reference" if run % 2 == 0 else "engine"
+        if first == "reference":
+            baseline = _reference_partitions_per_second(COPIES, BASELINE_SLICE)
+            engine = _engine_sweep()
+        else:
+            engine = _engine_sweep()
+            baseline = _reference_partitions_per_second(COPIES, BASELINE_SLICE)
+        sweeps.append(engine["sweep"])
+        runs.append(
+            {
+                "first": first,
+                "engine_seconds": round(engine["seconds"], 3),
+                "engine_partitions_per_second": round(
+                    engine["partitions_per_second"], 1
+                ),
+                "baseline_partitions": baseline["partitions"],
+                "baseline_seconds": baseline["seconds"],
+                "baseline_partitions_per_second": round(
+                    baseline["partitions_per_second"], 1
+                ),
+            }
+        )
+    assert all(_identical(sweeps[0], other) for other in sweeps[1:])
+    engine_pps = statistics.median(r["engine_partitions_per_second"] for r in runs)
+    baseline_pps = statistics.median(
+        r["baseline_partitions_per_second"] for r in runs
+    )
+    speedup = engine_pps / baseline_pps
+
+    RESULTS["serial"] = sweeps[-1]
     RESULTS["speedup"] = {
         "copies": COPIES,
-        "space": sweep.stats.covered,
-        "engine_seconds": round(seconds, 3),
-        "engine_partitions_per_second": round(engine_pps, 1),
-        "baseline": {
-            **baseline,
-            "partitions_per_second": round(
-                baseline["partitions_per_second"], 1
-            ),
-        },
+        "space": sweeps[-1].stats.covered,
+        "baseline_stride": baseline["stride"],
+        "runs": runs,
+        "engine_partitions_per_second_median": engine_pps,
+        "baseline_partitions_per_second_median": baseline_pps,
         "speedup": round(speedup, 1),
     }
     assert speedup >= SPEEDUP_GATE, RESULTS["speedup"]

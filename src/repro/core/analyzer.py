@@ -25,7 +25,7 @@ import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.db.database import Database, endogenous_tuple_count
 from repro.query.cq import ConjunctiveQuery
@@ -337,29 +337,18 @@ class BatchResult(Sequence):
 # A database with at least this many endogenous tuples has its
 # post-kernelization connected components sharded individually when
 # solving in parallel; below it, whole-pair tasks amortize better than a
-# coordinator-side structure build.  Override per call via
-# ``split_components``.
+# coordinator-side structure build.
 COMPONENT_SPLIT_THRESHOLD = 400
 
 
-def split_instance(
-    database: Database, split_components: Union[int, bool, None] = None
-) -> bool:
+def split_instance(database: Database) -> bool:
     """Does a parallel exact batch shard this instance per component?
 
     Sized on the endogenous tuple count (:func:`endogenous_tuple_count`):
     only endogenous tuples become hitting-set variables, so exogenous
-    ones never grow the search a split parallelizes.  ``None`` and
-    ``True`` use :data:`COMPONENT_SPLIT_THRESHOLD`, an int replaces
-    it, and ``False`` never splits.
+    ones never grow the search a split parallelizes.
     """
-    if split_components is False:
-        return False
-    if split_components is None or split_components is True:
-        threshold = COMPONENT_SPLIT_THRESHOLD
-    else:
-        threshold = int(split_components)
-    return endogenous_tuple_count(database) >= threshold
+    return endogenous_tuple_count(database) >= COMPONENT_SPLIT_THRESHOLD
 
 
 def _default_workers() -> int:
@@ -382,7 +371,6 @@ def solve_batch(
     budget=None,
     workers: Optional[int] = None,
     cache_dir=None,
-    split_components: Union[int, bool, None] = None,
     pool=None,
     weighted: bool = False,
 ) -> BatchResult:
@@ -415,10 +403,9 @@ def solve_batch(
 
     ``workers`` > 1 partitions the unique pairs into deterministic
     shards and solves them on a process pool (:mod:`repro.parallel`);
-    large exact instances (at least ``split_components`` endogenous
-    tuples, default :data:`COMPONENT_SPLIT_THRESHOLD`; pass ``False``
-    to disable — see :func:`split_instance`) are further split into
-    per-component hitting-set tasks.
+    large exact instances (at least :data:`COMPONENT_SPLIT_THRESHOLD`
+    endogenous tuples, see :func:`split_instance`) are further split
+    into per-component hitting-set tasks.
     Results — values *and* contingency sets — are identical to a serial
     run, and every :class:`BatchStats` counter is reproducible
     regardless of worker count.  ``workers=None`` reads the
@@ -534,7 +521,6 @@ def solve_batch(
             mode=mode,
             budget=budget,
             workers=workers,
-            split_components=split_components,
             pool=pool,
             weighted=weighted,
         )
@@ -570,7 +556,6 @@ def _solve_units_parallel(
     mode: str,
     budget,
     workers: int,
-    split_components: Union[int, bool, None],
     pool=None,
     weighted: bool = False,
 ) -> None:
@@ -609,11 +594,7 @@ def _solve_units_parallel(
             method is None
             and dispatch_plan_for(db, query, weighted=w).kind == "exact"
         )
-        if (
-            exact_path
-            and mode == "exact"
-            and split_instance(db, split_components)
-        ):
+        if exact_path and mode == "exact" and split_instance(db):
             index = _index(db)
             _, misses_before, _ = witness_cache_info()
             ws = witness_structure(db, query, index=index, weighted=w)

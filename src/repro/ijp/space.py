@@ -34,9 +34,10 @@ database.
 The screen is *sound*, never complete: it only discards candidates a
 Definition 48 condition provably rules out, so the pruned search finds
 exactly the certificates the exhaustive one does (pinned by tests and
-the E23 gates); Example 62's triangle IJP is rediscovered from the
-21147 three-copy partitions with only a few hundred leaves surviving
-to a per-database check.
+the E23 gates).  The screens do not shrink every space: Example 62's
+triangle IJP is rediscovered from the 21,147 three-copy partitions,
+of which none is pruned and 17,539 leaves survive the vectorized
+screen to the per-database check (:meth:`PartitionSpace.evaluate_leaf`).
 """
 
 from __future__ import annotations
@@ -54,6 +55,8 @@ from repro.ijp.checker import check_conditions_1_4, combined_flags
 from repro.ijp.rgs import LeafBatch, iter_leaf_batches, partition_from_rgs
 from repro.query.cq import ConjunctiveQuery
 from repro.query.evaluation import witness_tuple_sets
+from repro.resilience.approx import _BudgetMeter, _budgeted_bnb_masks
+from repro.resilience.types import Budget
 from repro.witness.cache import CACHE_SCHEMA, _canonical_query_text
 
 
@@ -428,40 +431,6 @@ class PartitionSpace:
         )
 
 
-def _min_hitting_number(masks: List[int]) -> int:
-    """Exact minimum hitting-set size over bitmask witness sets.
-
-    The Section 2 view at candidate scale: a merged ``k``-copy database
-    has at most ``k * m`` facts, so witness sets fit in one machine int
-    each and an exact branch-and-bound (branch on the tuples of a
-    smallest uncovered set) runs in microseconds.  Every mask must be
-    nonzero — all-exogenous witnesses are screened out upstream.
-    """
-    work = sorted(set(masks), key=lambda m: (bin(m).count("1"), m))
-    pruned: List[int] = []
-    for m in work:  # supersets of a kept set are hit whenever it is
-        if not any(m & p == p for p in pruned):
-            pruned.append(m)
-    best = len(pruned)  # hitting one tuple per set always works
-
-    def bnb(remaining: List[int], depth: int) -> None:
-        nonlocal best
-        if not remaining:
-            best = min(best, depth)
-            return
-        if depth + 1 >= best:
-            return
-        smallest = min(remaining, key=lambda m: bin(m).count("1"))
-        bits = smallest
-        while bits:
-            bit = bits & -bits
-            bits ^= bit
-            bnb([m for m in remaining if not m & bit], depth + 1)
-
-    bnb(pruned, 0)
-    return best
-
-
 def _cond5_prescreen(
     ev: LeafEvaluation, flags: Dict[str, bool]
 ) -> Tuple[int, List[Tuple[Tuple[DBTuple, DBTuple], Tuple[int, int, int, int]]]]:
@@ -474,7 +443,20 @@ def _cond5_prescreen(
     hitting-set problems over one set family — no per-probe database
     build, canonicalization, or witness re-enumeration.  Probes short-
     circuit: most candidates already miss ``rho(D-a) = rho(D) - 1``.
+    Each probe is the shared exclusion search on int masks
+    (:func:`~repro.resilience.approx._budgeted_bnb_masks`, no budget):
+    a merged ``k``-copy database has at most ``k * m`` facts, so every
+    witness set already is one mask.
     """
+    unlimited = _BudgetMeter(Budget())
+
+    def rho(rows: List[int]) -> int:
+        seed = 0
+        for m in rows:  # one tuple of every row the seed misses
+            if not m & seed:
+                seed |= m & -m
+        return _budgeted_bnb_masks(rows, seed, unlimited)[0]
+
     bit_of = {t: 1 << i for i, t in enumerate(ev.endo_tuples)}
     full_masks: List[int] = []
     endo_masks: List[int] = []
@@ -483,7 +465,7 @@ def _cond5_prescreen(
             sum(bit_of[t] for t in s if not flags.get(t.relation, False))
         )
         full_masks.append(sum(bit_of.get(t, 0) for t in s))
-    r0 = _min_hitting_number(endo_masks)
+    r0 = rho(endo_masks)
     outcomes = []
     for ta, tb in ev.candidates:
         ba, bb = bit_of[ta], bit_of[tb]
@@ -494,7 +476,7 @@ def _cond5_prescreen(
                 for em, fm in zip(endo_masks, full_masks)
                 if not fm & removed
             ]
-            return _min_hitting_number(kept) if kept else 0
+            return rho(kept)
 
         ra = rho_minus(ba)
         if ra != r0 - 1:

@@ -650,7 +650,8 @@ def _budgeted_bnb(
     """Branch and bound that certifies a lower bound even when cut short.
 
     The one hitting-set search of the exact and anytime tiers
-    (``exact._bnb_component`` is this search with no limit), seeded
+    (``exact._bnb_component`` is this search with no limit, and IJP's
+    condition-5 prescreen calls its int-mask core), seeded
     with the incumbent ``seed``.  It uses the d-hitting-set *exclusion*
     branching rule: a node branches on the first of its smallest rows,
     and its child *i* takes that row's *i*-th tuple (ascending) and
@@ -771,25 +772,40 @@ def _budgeted_bnb_bitset(
     """The bitmask mirror of :func:`_budgeted_bnb_reference`.
 
     Tuple ids are remapped to dense local bits (ascending, so every
-    ordering tie-break coincides with the reference) and witness sets
-    become int masks.  A node holds its rows grouped by current size:
-    ``groups[k]`` lists the rows with ``k`` allowed tuples in the
-    reference's order.  A child keeps each row it does not hit in its
-    group without counting it again; only a row that lost a forbidden
-    tuple gets a fresh popcount and is appended to its smaller group,
-    which is exactly where the reference's stable sort puts it.  So the
-    branch target is the head of the smallest group, the packing bound
-    walks the groups in order, and unit rows are found among the
-    re-counted rows alone.
+    ordering tie-break coincides with the reference), and the witness
+    sets and the seed (a subset of ``universe``) become int masks for
+    :func:`_budgeted_bnb_masks`.
     """
     bit_of = {t: 1 << i for i, t in enumerate(universe)}
-    popcount = int.bit_count
     # Distinct powers of two: their sum is their union.
     masks = [sum(map(bit_of.__getitem__, s)) for s in sets]
-    width = max(map(popcount, masks)) + 1
-    best_count = [len(seed)]
-    best_set: List[Set[int]] = [set(seed)]
-    abandoned = [len(seed) + 1]  # sentinel above any real bound
+    lower, best, completed = _budgeted_bnb_masks(
+        masks, sum(map(bit_of.__getitem__, seed)), meter
+    )
+    return lower, {universe[i] for i in _iter_bits(best)}, completed
+
+
+def _budgeted_bnb_masks(
+    masks: Sequence[int], seed: int, meter: _BudgetMeter
+) -> Tuple[int, int, bool]:
+    """The exclusion search of :func:`_budgeted_bnb` on int-mask rows,
+    seeded with the hitting mask ``seed``; returns ``(lower_bound,
+    incumbent_mask, completed)``.
+
+    A node holds its rows grouped by current size: ``groups[k]`` lists
+    the rows with ``k`` allowed tuples in the reference's order.  A
+    child keeps each row it does not hit in its group without counting
+    it again; only a row that lost a forbidden tuple gets a fresh
+    popcount and is appended to its smaller group, which is exactly
+    where the reference's stable sort puts it.  So the branch target is
+    the head of the smallest group, the packing bound walks the groups
+    in order, and unit rows are found among the re-counted rows alone.
+    """
+    popcount = int.bit_count
+    width = max(map(popcount, masks), default=0) + 1
+    best_count = [popcount(seed)]
+    best_mask = [seed]
+    abandoned = [best_count[0] + 1]  # sentinel above any real bound
 
     def exclude(groups: List[List[int]], bit: int, forbid: int):
         """The rows of the child that takes ``bit`` and forbids
@@ -842,7 +858,7 @@ def _budgeted_bnb_bitset(
         if not packing:
             if n_chosen < best_count[0]:
                 best_count[0] = n_chosen
-                best_set[0] = {universe[i] for i in _iter_bits(chosen)}
+                best_mask[0] = chosen
             return
         bound = n_chosen + packing
         if bound >= best_count[0]:
@@ -893,7 +909,7 @@ def _budgeted_bnb_bitset(
     search = None  # drop the closure's self-reference: no cyclic garbage
     completed = abandoned[0] > best_count[0]
     lower = best_count[0] if completed else min(best_count[0], abandoned[0])
-    return lower, best_set[0], completed
+    return lower, best_mask[0], completed
 
 
 def _iter_bits(mask: int):

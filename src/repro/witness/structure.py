@@ -40,8 +40,7 @@ An unweighted build is bit-for-bit the historical pipeline.
 
 Internally witness sets are ``frozenset``s of integer tuple-ids; stage
 3's subset tests run on Python-int *bitsets* over witness rows (a
-single ``& ~`` per candidate pair), and the final per-tuple bitsets
-are exposed as :attr:`WitnessStructure.tuple_bitsets` for consumers.
+single ``& ~`` per candidate pair), built per round from the sets.
 The scipy CSR incidence matrix consumed by the ILP backend is built
 directly from the same ids via :meth:`WitnessStructure.incidence_matrix`
 / :meth:`WitnessComponent.incidence_matrix`.
@@ -165,14 +164,9 @@ class WitnessStructure:
         Tuples committed by unit-witness forcing; every one belongs to
         some minimum contingency set, so solvers add ``len(forced)`` to
         the optimum of ``sets``.
-    ``tuple_bitsets``
-        For each active tuple id, a Python-int bitset over rows of
-        ``sets`` (bit *r* set iff the tuple occurs in ``sets[r]``) —
-        the row view of the reduced structure, exposed for consumers;
-        the reduction pipeline builds its own per-round bitsets.
     ``components``
         The connected components of the reduced structure, ordered by
-        smallest tuple id.
+        smallest tuple id; they partition the active tuples.
     ``satisfied``
         Whether ``D |= q`` at build time (no witnesses ⇒ resilience 0).
 
@@ -209,11 +203,10 @@ class WitnessStructure:
         self.sets = sets
         self.forced_ids = forced_ids
         self.stats = stats
-        self.tuple_bitsets: Dict[int, int] = _bitsets(sets)
         self.components: Tuple[WitnessComponent, ...] = _decompose(sets)
         stats.components = len(self.components)
         stats.witnesses_final = len(sets)
-        stats.tuples_final = len(self.tuple_bitsets)
+        stats.tuples_final = sum(len(c.tuple_ids) for c in self.components)
 
     # ------------------------------------------------------------------
     # Construction

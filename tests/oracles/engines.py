@@ -10,7 +10,9 @@ component to HiGHS once its search has spent ``EXACT_SEARCH_ROWS`` rows
 (``EXACT_SEARCH_ROWS_WEIGHTED`` with costs), and the certified bounds
 solve an LP by interior point from ``_LP_IPM_MIN_COLS`` columns with
 ``_LP_IPM_MIN_NNZ_PER_COL`` nonzeros per column and
-``_LP_IPM_MIN_NNZ_PER_ROW`` per row.  :func:`forced_engines`
+``_LP_IPM_MIN_NNZ_PER_ROW`` per row, and a parallel exact batch shards
+an instance per witness component from ``COMPONENT_SPLIT_THRESHOLD``
+endogenous tuples.  :func:`forced_engines`
 patches that module state for the duration of a ``with`` block, as
 :func:`oracles.flow.patched_min_cut` does for the min cut, so the
 differential suites and benchmarks can run each layer's other path.
@@ -24,6 +26,7 @@ import sys
 from contextlib import ExitStack, contextmanager
 from unittest import mock
 
+from repro.core import analyzer
 from repro.query import columnar
 from repro.resilience import approx, exact
 from repro.witness import structure
@@ -51,7 +54,7 @@ def _giving_up(search):
 
 
 @contextmanager
-def forced_engines(join=None, kernel=None, solver=None, lp=None):
+def forced_engines(join=None, kernel=None, solver=None, lp=None, split=False):
     """Within the block, every solve in this process takes the forced
     paths; ``None`` keeps a layer's own rule.
 
@@ -64,17 +67,20 @@ def forced_engines(join=None, kernel=None, solver=None, lp=None):
     * ``solver="ilp"``: the row-limited search gives up at once, so
       HiGHS solves every exact component;
     * ``lp="simplex"`` / ``"ipm"``: every LP of the certified bounds is
-      solved by HiGHS dual simplex, or by its interior-point method.
+      solved by HiGHS dual simplex, or by its interior-point method;
+    * ``split=True``: a parallel exact batch (``workers > 1``) shards
+      every exact instance per witness component, whatever its size.
     """
     if (
         join not in JOINS
         or kernel not in KERNELS
         or solver not in SOLVERS
         or lp not in LPS
+        or split not in (False, True)
     ):
         raise ValueError(
             f"unknown engines join={join!r} kernel={kernel!r} "
-            f"solver={solver!r} lp={lp!r}"
+            f"solver={solver!r} lp={lp!r} split={split!r}"
         )
     with ExitStack() as stack:
         if join is not None:
@@ -106,4 +112,8 @@ def forced_engines(join=None, kernel=None, solver=None, lp=None):
                 stack.enter_context(
                     mock.patch.object(approx, name, threshold)
                 )
+        if split:
+            stack.enter_context(
+                mock.patch.object(analyzer, "COMPONENT_SPLIT_THRESHOLD", 0)
+            )
         yield

@@ -14,18 +14,19 @@ never answers:
   intervals agree for every combination (distinct backends may witness
   distinct optimal sets).  Under polynomial dispatch every combination
   reproduces the default bit for bit, since no forced layer is on the
-  flow path.  Otherwise, forcing the join
-  :func:`repro.planner.plan_instance` names and the bitset kernel (the
-  kernel's own rule) reproduces the default bit for bit whenever the
+  flow path.  Otherwise, forcing the join the default picks
+  (:func:`repro.query.columnar._use_columnar`) and the bitset kernel
+  (the kernel's own rule) reproduces the default bit for bit whenever the
   forced exact solver cannot change the set: in the bounded modes
   (which never reach it), and with the solver forced to ``bnb`` when no
   component of an exact solve fell through to HiGHS
   (``method="branch-and-bound"``).  With the oracle's min cut in place
   of the engine's, every instance keeps its value and interval;
 * serial and parallel batches return bit-identical results;
-* the decisions each layer now makes at its own decision point — the
-  component split on endogenous tuples, the columnar join for
-  snapshot-backed databases, and the LPT weight — are pinned directly.
+* the decisions each layer makes at its own decision point — the
+  component split on endogenous tuples (and its ``forced_engines``
+  override), the columnar join for snapshot-backed databases, and the
+  LPT weight — are pinned directly.
 """
 
 import itertools
@@ -36,10 +37,14 @@ import repro.parallel
 from oracles.engines import forced_engines
 from oracles.flow import patched_min_cut
 from repro.core import solve_batch
+from repro.core.analyzer import split_instance
 from repro.db import Database
 from repro.parallel import PairTask
-from repro.planner import plan_instance
-from repro.query.columnar import backend_counters, reset_backend_counters
+from repro.query.columnar import (
+    _use_columnar,
+    backend_counters,
+    reset_backend_counters,
+)
 from repro.query.evaluation import WITNESS_ESTIMATE_CAP, witness_estimate
 from repro.query.zoo import ALL_QUERIES, q_chain
 from repro.resilience.solver import solve
@@ -119,8 +124,8 @@ class TestDifferentialMatrix:
 
         clear_witness_cache()
         default = solve(db, query, mode=mode, budget=budget, weighted=weighted)
-        plan = plan_instance(db, query, weighted=weighted)
-        layers = (plan.join, None)
+        join = "columnar" if _use_columnar(db) else "reference"
+        layers = (join, None)
         hitting_set = mode == "exact" and default.method in (
             "branch-and-bound",
             "ilp",
@@ -134,12 +139,9 @@ class TestDifferentialMatrix:
                 )
             # Output-invisibility: every combination returns the same
             # value, and in bounded modes the same certified interval.
-            assert forced.value == default.value, (combo, plan.signature())
+            assert forced.value == default.value, (combo, join)
             if mode != "exact":
-                assert forced.interval == default.interval, (
-                    combo,
-                    plan.signature(),
-                )
+                assert forced.interval == default.interval, (combo, join)
             if _polynomial(default.method) or (
                 combo[:2] == layers
                 and (
@@ -150,7 +152,7 @@ class TestDifferentialMatrix:
                 # Bit for bit: value, witness set, method.  A search
                 # that completed under its node limit explored exactly
                 # as the unlimited one does.
-                assert forced == default, (combo, plan.signature())
+                assert forced == default, (combo, join)
 
         # The networkx cut may pick another minimum set, never another
         # value or interval.
@@ -165,12 +167,16 @@ class TestDifferentialMatrix:
         db, query = _instance(family, seed, skewed=0)
         mode = _mode_of(family, seed, 0)
         clear_witness_cache()
-        cold_a = plan_instance(db, query)
-        cold_b = plan_instance(db, query)
+
+        def decisions():
+            return _use_columnar(db), split_instance(db)
+
+        cold_a = decisions()
+        cold_b = decisions()
         assert cold_a == cold_b
         solve(db, query, mode=mode, budget=ANYTIME_BUDGET if mode == "anytime" else None)
-        warm_a = plan_instance(db, query)
-        warm_b = plan_instance(db, query)
+        warm_a = decisions()
+        warm_b = decisions()
         assert warm_a == warm_b
         # A warm structure cache changes no layer's pick.
         assert cold_a == warm_a
@@ -194,8 +200,9 @@ class TestBatchDeterminism:
 # ---------------------------------------------------------------------------
 
 
-def _split_tasks(monkeypatch, db, query):
-    """The task list a ``workers=2`` exact batch over ``db`` builds."""
+def _split_tasks(monkeypatch, db, query, split=False):
+    """The task list a ``workers=2`` exact batch over ``db`` builds
+    (``split=True`` forces the component split)."""
     seen = []
     original = repro.parallel.group_by_database
 
@@ -205,7 +212,8 @@ def _split_tasks(monkeypatch, db, query):
 
     monkeypatch.setattr(repro.parallel, "group_by_database", spy)
     clear_witness_cache()
-    batch = solve_batch([(db, query)], workers=2)
+    with forced_engines(split=split):
+        batch = solve_batch([(db, query)], workers=2)
     clear_witness_cache()
     assert batch.values() == [solve(db, query).value]
     return seen
@@ -235,6 +243,18 @@ class TestLayerDecisions:
 
         large = _chain_db(endogenous=402, exogenous=0)
         tasks = _split_tasks(monkeypatch, large, q_chain)
+        assert not any(isinstance(t, PairTask) for t in tasks)
+
+    def test_forced_split_shards_a_small_instance(self, monkeypatch):
+        """``forced_engines(split=True)`` splits below the threshold:
+        three 3-cycles, an irreducible component each."""
+        cycles = Database()
+        for base in (0, 10, 20):
+            for i in range(3):
+                cycles.add("R", base + i, base + (i + 1) % 3)
+        assert isinstance(_split_tasks(monkeypatch, cycles, q_chain)[0], PairTask)
+        tasks = _split_tasks(monkeypatch, cycles, q_chain, split=True)
+        assert len(tasks) == 3
         assert not any(isinstance(t, PairTask) for t in tasks)
 
     def test_small_snapshot_joins_columnar(self, tmp_path):

@@ -27,7 +27,6 @@ AUDITED_PACKAGES = (
     "parallel",
     "incremental",
     "serving",
-    "planner",
     "storage",
     "ijp",
 )
@@ -133,7 +132,6 @@ def test_audit_covers_the_expected_packages():
     assert "session.py" in names  # repro.incremental
     assert "columnar.py" in names  # the vectorized join layer
     assert {"server.py", "wire.py", "admission.py", "client.py"} <= names
-    assert "features.py" in names  # repro.planner
     assert {"layout.py", "stored.py"} <= names  # repro.storage
     assert {"rgs.py", "space.py", "sweep.py"} <= names  # repro.ijp
     assert len(modules) >= 30
@@ -229,7 +227,7 @@ def test_outofcore_bench_record_exists():
     assert gates["peak_rss_mb"] <= gates["rss_ceiling_mb"]
     assert gates["value_matches_ground_truth"] is True
     assert gates["bit_identical_at_overlap"] is True
-    assert gates["planner_out_of_core"] is True
+    assert gates["columnar_out_of_core"] is True
 
 
 def test_bench_trajectory_record_exists():
@@ -360,6 +358,25 @@ def test_api_page_records_the_2_0_removals():
         "BENCH_e21_planner.json",
     ):
         assert needle in entry, f"docs/api.md 2.0.0 entry does not name {needle}"
+
+
+def test_api_page_records_the_2_6_removals():
+    """docs/api.md's 2.6.0 entry must name every removed public name,
+    so upgraders can find what went."""
+    page = (REPO_ROOT / "docs" / "api.md").read_text()
+    entry = page[page.index("**2.6.0**"):page.index("**2.5.0**")]
+    for needle in (
+        "repro.planner",
+        "Plan",
+        "PlanFeatures",
+        "plan_instance",
+        "extract_features",
+        "repro planner explain",
+        "split_components",
+        "split=True",
+        "tuple_bitsets",
+    ):
+        assert needle in entry, f"docs/api.md 2.6.0 entry does not name {needle}"
 
 
 def test_ijp_page_documents_the_distributed_search():

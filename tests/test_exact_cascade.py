@@ -133,9 +133,10 @@ def _answers_on_every_path(db):
     clear_witness_cache()
     answers = [_answer(solve(db, q_chain))]
     clear_witness_cache()
-    # An int threshold of 1 splits this small instance into component
-    # tasks (the default threshold would ship it whole).
-    batch = solve_batch([(db, q_chain)], workers=2, split_components=1)
+    # The forced split shards this small instance into component tasks
+    # (the default threshold would ship it whole).
+    with forced_engines(split=True):
+        batch = solve_batch([(db, q_chain)], workers=2)
     answers.append(_answer(batch.results[0]))
     for workers in (1, 2):
         session = IncrementalSession(db, q_chain, workers=workers)
@@ -178,9 +179,8 @@ def test_weighted_mixed_instance_is_identical_serial_and_parallel(monkeypatch):
     serial = solve(db, q_chain, weighted=True)
     assert set(serial.contingency_set) == set(ws.tuples(expected))
     clear_witness_cache()
-    batch = solve_batch(
-        [(db, q_chain)], workers=2, split_components=1, weighted=True
-    )
+    with forced_engines(split=True):
+        batch = solve_batch([(db, q_chain)], workers=2, weighted=True)
     assert _answer(batch.results[0]) == _answer(serial)
     assert serial.method == "ilp"
     clear_witness_cache()

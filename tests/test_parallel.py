@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from oracles.engines import forced_engines
 from repro.core import solve_batch
 from repro.core.analyzer import ResilienceAnalyzer
 from repro.db import Database, DBTuple
@@ -150,8 +151,9 @@ class TestSerialParallelEquivalence:
         clear_witness_cache()
         serial = solve_batch(pairs, workers=1)
         clear_witness_cache()
-        # split_components=0: every exact instance goes component-granular.
-        parallel = solve_batch(pairs, workers=WORKERS, split_components=0)
+        # Forced split: every exact instance goes component-granular.
+        with forced_engines(split=True):
+            parallel = solve_batch(pairs, workers=WORKERS)
         _assert_batches_identical(serial, parallel)
 
     def test_workers_1_is_the_serial_fast_path(self, monkeypatch):

@@ -19,7 +19,12 @@ These check laws the paper relies on implicitly:
   (``TestMetamorphicCostLaws``): cost scaling scales the optimum and
   preserves argmins, the cost-1 floor sandwiches the weighted optimum,
   all-unit weighted solves are bit-identical to the unweighted path,
-  and exogenous tuples are never charged.
+  and exogenous tuples are never charged;
+* the sizes the engine layers decide by (``TestSizeRuleInputs``): the
+  endogenous tuple count (admission, the parallel split), the witness
+  estimate (LPT sharding) and the dispatch kind (flow or hitting set)
+  are pure, invariant under active-domain renaming and declaration or
+  insertion order, and monotone under endogenous insertion.
 
 Effort (``max_examples``) comes from the hypothesis profile registered
 in ``conftest.py`` — the CI ``tests-properties`` leg runs the deeper
@@ -29,8 +34,9 @@ in ``conftest.py`` — the CI ``tests-properties`` leg runs the deeper
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
-from repro.db import Database, DBTuple
+from repro.db import Database, DBTuple, endogenous_tuple_count
 from repro.query import parse_query, satisfies, witness_tuple_sets
+from repro.query.evaluation import WITNESS_ESTIMATE_CAP, witness_estimate
 from repro.query.zoo import (
     q_ACconf,
     q_Aperm,
@@ -47,6 +53,8 @@ from repro.resilience import (
     solve,
 )
 from repro.resilience.flow_special import solve_qACconf, solve_qAperm, solve_qperm
+from repro.resilience.solver import dispatch_plan_for
+from repro.witness import clear_witness_cache, witness_cache_info
 
 SETTINGS = settings(
     deadline=None,
@@ -399,3 +407,86 @@ class TestMetamorphicCostLaws:
         res = solve(db, q_chain, weighted=True)
         assert db.total_cost(res.contingency_set) == res.value
         assert not satisfies(db.minus(res.contingency_set), q_chain)
+
+
+def size_inputs(db, query):
+    """What the engine layers size an instance by, read without building
+    or enumerating anything: total and endogenous tuple counts, the
+    witness estimate, and the dispatch kind."""
+    return (
+        len(db),
+        endogenous_tuple_count(db),
+        witness_estimate(db, query),
+        dispatch_plan_for(db, query).kind,
+    )
+
+
+class TestSizeRuleInputs:
+    @given(edges)
+    @SETTINGS
+    def test_features_are_pure(self, edge_list):
+        """Same pair, same cache state -> the very same sizes."""
+        db = chain_db(edge_list)
+        assert size_inputs(db, q_chain) == size_inputs(db, q_chain)
+
+    @given(edges)
+    @SETTINGS
+    def test_features_invariant_under_domain_renaming(self, edge_list):
+        db = chain_db(edge_list)
+        renamed = Database()
+        renamed.declare("R", 2)
+        for (u, v) in edge_list:
+            renamed.add("R", f"n{u}", f"n{v}")  # injective renaming
+        clear_witness_cache()
+        assert size_inputs(db, q_chain) == size_inputs(renamed, q_chain)
+
+    @given(edges, nodes)
+    @SETTINGS
+    def test_features_invariant_under_declaration_and_insertion_order(
+        self, edge_list, a_nodes
+    ):
+        forward = Database()
+        forward.declare("A", 1)
+        forward.declare("R", 2)
+        for (u, v) in edge_list:
+            forward.add("R", u, v)
+        for a in a_nodes:
+            forward.add("A", a)
+        backward = Database()
+        for a in reversed(a_nodes):
+            backward.add("A", a)
+        backward.declare("R", 2)
+        for (u, v) in reversed(edge_list):
+            backward.add("R", u, v)
+        backward.declare("A", 1)
+        clear_witness_cache()
+        assert size_inputs(forward, q_a_chain) == size_inputs(
+            backward, q_a_chain
+        )
+
+    @given(edges, st.tuples(st.integers(0, 4), st.integers(0, 4)))
+    @SETTINGS
+    def test_size_features_monotone_under_endogenous_insert(
+        self, edge_list, extra
+    ):
+        db = chain_db(edge_list)
+        before = size_inputs(db, q_chain)
+        db.add("R", *extra)
+        after = size_inputs(db, q_chain)
+        assert all(a >= b for a, b in zip(after[:3], before[:3]))
+
+    @given(edges)
+    @SETTINGS
+    def test_witness_estimate_bounds(self, edge_list):
+        db = chain_db(edge_list)
+        # q_chain has two R atoms: the estimate is |R|^2, capped.
+        assert witness_estimate(db, q_chain) == min(
+            len(edge_list) ** 2, WITNESS_ESTIMATE_CAP
+        )
+
+    def test_cache_peek_does_not_disturb_cache_telemetry(self):
+        db = chain_db([(0, 1), (1, 2), (2, 0), (2, 3)])
+        clear_witness_cache()
+        before = witness_cache_info()
+        witness_estimate(db, q_chain)
+        assert witness_cache_info() == before

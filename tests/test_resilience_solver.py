@@ -44,6 +44,16 @@ class TestDispatch:
         with pytest.raises(ValueError):
             solve(chain_db, q_chain, method="nope")
 
+    def test_explicit_method_kwarg_beats_everything(self):
+        """method='exact' forces the hitting-set path even for a
+        PTIME-dispatched query."""
+        db = random_database_for_query(q_perm, domain_size=5, density=0.4, seed=1)
+        assert solve(db, q_perm).method.startswith("flow:")
+        assert solve(db, q_perm, method="exact").method in (
+            "branch-and-bound",
+            "ilp",
+        )
+
     def test_resilience_helper(self, chain_db):
         assert resilience(chain_db, q_chain) == 2
 

@@ -1,7 +1,8 @@
 """The shared hitting-set search against subset enumeration.
 
 ``repro.resilience.approx._budgeted_bnb`` is the one search behind the
-exact tier, the anytime tier and the incremental session.  It branches
+exact tier, the anytime tier, the incremental session and (through its
+int-mask core) IJP's condition-5 prescreen.  It branches
 by exclusion (child *i* takes the target row's *i*-th tuple and forbids
 the earlier ones) and unit-propagates, and when a node budget cuts it
 short it still certifies a lower bound from the abandoned subtrees.
@@ -9,8 +10,9 @@ This module checks those claims against ground truth that shares no
 code with the engine: the minimum is found by enumerating every subset
 of the (at most 12) tuples.
 
-For every form of the search — the bitmask search, its frozenset
-mirror, and the cost-weighted frozenset search — and every node limit:
+For every form of the search — the bitmask search, its int-mask core
+(the entry IJP's condition-5 prescreen calls), its frozenset mirror,
+and the cost-weighted frozenset search — and every node limit:
 
 * the incumbent hits every row;
 * ``lower <= optimum <= cost(incumbent)``;
@@ -26,6 +28,7 @@ from repro.resilience.approx import (
     _BudgetMeter,
     _budgeted_bnb,
     _budgeted_bnb_bitset,
+    _budgeted_bnb_masks,
     _budgeted_bnb_reference,
     greedy_hitting_set,
 )
@@ -103,6 +106,17 @@ def _searches(sets, costs):
                 ),
             )
         )
+        bit_of = {t: 1 << i for i, t in enumerate(universe)}
+        masks = [sum(bit_of[t] for t in row) for row in sets]
+
+        def on_masks(seed, meter):
+            lower, best, completed = _budgeted_bnb_masks(
+                masks, sum(bit_of[t] for t in seed), meter
+            )
+            chosen = {t for t in universe if best & bit_of[t]}
+            return lower, chosen, completed
+
+        forms.append(("masks", on_masks))
     return forms
 
 

@@ -13,7 +13,8 @@ exist under real concurrency.  The contracts:
 * streamed anytime intervals are monotone, certified (they always
   contain the exact value), and end on the returned result;
 * admission control reroutes oversized exact requests to certified
-  anytime intervals and sheds load with 429 rather than queueing.
+  anytime intervals and sheds load with 429 rather than queueing, and
+  it sizes a request by its endogenous tuple count (Definition 1).
 """
 
 import json
@@ -22,8 +23,9 @@ import time
 
 import pytest
 
-from repro.db.database import Database
+from repro.db.database import Database, endogenous_tuple_count
 from repro.query.parser import parse_query
+from repro.query.zoo import q_a_chain, q_chain
 from repro.resilience.solver import solve
 from repro.resilience.types import Budget
 from repro.serving import (
@@ -33,6 +35,9 @@ from repro.serving import (
     ServingClient,
     ServingClientError,
 )
+from repro.serving.admission import DEFAULT_MAX_EXACT_TUPLES
+from repro.serving.wire import SolveRequest
+from repro.workloads import random_database_for_queries
 
 
 def chain_db(n=6):
@@ -462,6 +467,50 @@ class TestAdmissionControl:
             ):
                 exact = solve(db, Q_CHAIN).value
                 assert r.lower_bound <= exact <= r.upper_bound
+
+
+class TestAdmissionSizing:
+    """The policy alone, without a server: requests are sized by their
+    endogenous tuple count."""
+
+    @staticmethod
+    def _instance(query, seed):
+        return random_database_for_queries(
+            [query], domain_size=5, density=0.4, seed=seed
+        )
+
+    def test_rerouted_request_is_oversized(self):
+        policy = AdmissionPolicy()
+        db = chain_db(DEFAULT_MAX_EXACT_TUPLES + 100)
+        request = SolveRequest(db, q_chain, mode="exact")
+        decision = policy.admit(request, active_solves=0)
+        assert decision.accepted and decision.rerouted
+        assert decision.mode == "anytime"
+        assert policy.oversized(request)
+        assert endogenous_tuple_count(db) > DEFAULT_MAX_EXACT_TUPLES
+
+    def test_small_request_is_interactive(self):
+        policy = AdmissionPolicy()
+        request = SolveRequest(self._instance(q_chain, 2), q_chain, mode="exact")
+        decision = policy.admit(request, active_solves=0)
+        assert decision.accepted and not decision.rerouted
+        assert not policy.oversized(request)
+
+    def test_instance_size_is_the_endogenous_count(self):
+        policy = AdmissionPolicy()
+        db = self._instance(q_a_chain, 3)
+        db.set_exogenous("A")
+        request = SolveRequest(db, q_a_chain)
+        assert policy.instance_size(request) == endogenous_tuple_count(db)
+        assert policy.instance_size(request) == len(db.relations["R"])
+
+    def test_custom_threshold_drives_the_reroute(self):
+        policy = AdmissionPolicy(max_exact_tuples=10)
+        db = self._instance(q_chain, 4)
+        request = SolveRequest(db, q_chain, mode="exact")
+        decision = policy.admit(request, active_solves=0)
+        assert decision.rerouted == policy.oversized(request)
+        assert decision.rerouted == (len(db) > 10)
 
 
 class TestBatchWorkerPool:

@@ -21,6 +21,7 @@ from repro.witness import (
     witness_cache_info,
     witness_structure,
 )
+from repro.witness.structure import _bitsets
 from repro.workloads import random_database_for_query
 
 
@@ -83,7 +84,7 @@ class TestBuild:
 
     def test_bitsets_match_sets(self):
         ws = WitnessStructure.build(_cycle_db(), q_chain)
-        for t, mask in ws.tuple_bitsets.items():
+        for t, mask in _bitsets(ws.sets).items():
             rows = {r for r in range(len(ws.sets)) if mask >> r & 1}
             assert rows == {r for r, s in enumerate(ws.sets) if t in s}
 
@@ -112,7 +113,8 @@ class TestComponents:
         # Components partition the reduced sets and active tuples.
         assert sum(len(c.sets) for c in ws.components) == len(ws.sets)
         ids = [t for c in ws.components for t in c.tuple_ids]
-        assert sorted(ids) == sorted(ws.tuple_bitsets)
+        assert sorted(ids) == sorted(_bitsets(ws.sets))
+        assert ws.stats.tuples_final == len(ids)
 
         # rho = 2 per cycle; per-component solving must sum to 4 and
         # agree with the unreduced solver.
