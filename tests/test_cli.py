@@ -148,6 +148,32 @@ class TestCommands:
         assert "witness structures built" in out
         assert "speedup" in out
 
+    def test_bench_json_records_the_join_counters(self, capsys, tmp_path):
+        """The bench record reports which join each structure build
+        took; small databases stay on the reference join."""
+        from repro.query.columnar import backend_counters, reset_backend_counters
+
+        out_path = tmp_path / "bench.json"
+        reset_backend_counters()
+        assert main(
+            [
+                "bench",
+                "--queries", "q_chain",
+                "--databases", "2",
+                "--domain-size", "4",
+                "--workers", "1",
+                "--json", str(out_path),
+            ]
+        ) == 0
+        assert f"wrote {out_path}" in capsys.readouterr().out
+        record = json.loads(out_path.read_text())
+        assert record["command"] == "bench"
+        assert record["workload"]["pairs"] == len(record["values"])
+        counters = record["join_backend_counters"]
+        assert counters == backend_counters()
+        assert counters["reference"] >= 1
+        assert counters["columnar"] == 0
+
     def test_bench_unknown_query(self, capsys):
         assert main(["bench", "--queries", "q_nonsense"]) == 2
         assert "unknown zoo queries" in capsys.readouterr().err
