@@ -58,6 +58,10 @@ Commands
     probes ``/health``, and exits (the CI smoke path).  A malformed
     ``REPRO_SERVING_*`` variable prints one ``repro: error: ...`` line
     and exits 2.  See ``docs/serving.md``.
+
+``planner explain "<query>" <database.json>``
+    Print the instance's size features and the backend each engine
+    layer picks for it, read from the layers' own decision functions.
 """
 
 from __future__ import annotations
@@ -528,6 +532,27 @@ def _bench_updates(args, budget) -> int:
     return 0
 
 
+def cmd_planner_explain(args) -> int:
+    """Print the size features and per-layer backends for one instance."""
+    from repro.planner import plan_instance
+
+    query = parse_query(args.query) if args.query not in ALL_QUERIES else (
+        ALL_QUERIES[args.query]
+    )
+    db = load_database(args.database)
+    plan = plan_instance(db, query, weighted=args.weighted)
+    print("features:")
+    for name, value in plan.features.as_dict().items():
+        print(f"  {name}: {value}")
+    print(f"plan: {plan.signature()}")
+    print(
+        "note: the kernel and the exact solver are decided while solving "
+        "(the exact tier per witness component: branch and bound first, "
+        "HiGHS for what it leaves open)"
+    )
+    return 0
+
+
 def cmd_serve(args) -> int:
     """Run the serving daemon (``repro serve``)."""
     from repro.serving import AdmissionPolicy, ResilienceServer, ServingClient
@@ -737,6 +762,22 @@ def build_parser() -> argparse.ArgumentParser:
         "workload, join counters, batch statistics, values",
     )
     p.set_defaults(func=cmd_bench)
+
+    p = sub.add_parser(
+        "planner",
+        help="report the backend each engine layer picks for an instance",
+    )
+    planner_sub = p.add_subparsers(dest="planner_command", required=True)
+
+    pe = planner_sub.add_parser(
+        "explain",
+        help="print the size features and per-layer backends for one "
+        "instance",
+    )
+    pe.add_argument("query", help='zoo name or e.g. "R(x,y), R(y,z)"')
+    pe.add_argument("database", help="path to a database JSON file")
+    pe.add_argument("--weighted", action="store_true")
+    pe.set_defaults(func=cmd_planner_explain)
 
     p = sub.add_parser(
         "serve", help="run the resilience HTTP serving daemon"

@@ -431,6 +431,20 @@ class PartitionSpace:
         )
 
 
+def _hitting_number(rows: List[int], meter: _BudgetMeter) -> int:
+    """The minimum hitting-set size of the int-mask ``rows``: the shared
+    exclusion search (:func:`~repro.resilience.approx._budgeted_bnb_masks`)
+    run to completion under ``meter``, seeded with one tuple (the lowest
+    bit) of every row the seed does not hit yet.  Every row must be
+    nonzero (all-exogenous witnesses are screened out upstream); an
+    empty row list needs no tuple."""
+    seed = 0
+    for m in rows:
+        if not m & seed:
+            seed |= m & -m
+    return _budgeted_bnb_masks(rows, seed, meter)[0]
+
+
 def _cond5_prescreen(
     ev: LeafEvaluation, flags: Dict[str, bool]
 ) -> Tuple[int, List[Tuple[Tuple[DBTuple, DBTuple], Tuple[int, int, int, int]]]]:
@@ -444,19 +458,11 @@ def _cond5_prescreen(
     build, canonicalization, or witness re-enumeration.  Probes short-
     circuit: most candidates already miss ``rho(D-a) = rho(D) - 1``.
     Each probe is the shared exclusion search on int masks
-    (:func:`~repro.resilience.approx._budgeted_bnb_masks`, no budget):
-    a merged ``k``-copy database has at most ``k * m`` facts, so every
-    witness set already is one mask.
+    (:func:`_hitting_number`, no budget): a merged ``k``-copy database
+    has at most ``k * m`` facts, so every witness set already is one
+    mask.
     """
     unlimited = _BudgetMeter(Budget())
-
-    def rho(rows: List[int]) -> int:
-        seed = 0
-        for m in rows:  # one tuple of every row the seed misses
-            if not m & seed:
-                seed |= m & -m
-        return _budgeted_bnb_masks(rows, seed, unlimited)[0]
-
     bit_of = {t: 1 << i for i, t in enumerate(ev.endo_tuples)}
     full_masks: List[int] = []
     endo_masks: List[int] = []
@@ -465,7 +471,7 @@ def _cond5_prescreen(
             sum(bit_of[t] for t in s if not flags.get(t.relation, False))
         )
         full_masks.append(sum(bit_of.get(t, 0) for t in s))
-    r0 = rho(endo_masks)
+    r0 = _hitting_number(endo_masks, unlimited)
     outcomes = []
     for ta, tb in ev.candidates:
         ba, bb = bit_of[ta], bit_of[tb]
@@ -476,7 +482,7 @@ def _cond5_prescreen(
                 for em, fm in zip(endo_masks, full_masks)
                 if not fm & removed
             ]
-            return rho(kept)
+            return _hitting_number(kept, unlimited)
 
         ra = rho_minus(ba)
         if ra != r0 - 1:

@@ -352,8 +352,11 @@ def allocate_budgets(
 ) -> List[Optional[int]]:
     """Pre-allocate a covered-partition budget to shards in lex order.
 
-    Earlier shards fill first, so a budgeted sweep covers exactly the
-    lexicographic prefix an unbudgeted sweep would visit first — the
+    Earlier shards fill first, so a budget covers whole shards in lex
+    order and cuts short only the last shard it reaches.  Within that
+    shard the covered partitions are its lexicographic prefix only with
+    ``prune=False``: a pruned subtree is charged when its block of
+    prefixes is expanded, ahead of leaves that precede it.  The
     allocation is deterministic, so shard checkpoint keys (which cover
     the budget slice) are too.  ``None`` means unlimited everywhere."""
     if budget is None:

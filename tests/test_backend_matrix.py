@@ -25,9 +25,10 @@ never answers:
 * serial and parallel batches return bit-identical results;
 * the decisions each layer makes at its own decision point — the
   component split on endogenous tuples (its threshold and its
-  ``forced_engines`` override), the columnar join at its size threshold
-  and for snapshot-backed databases, and the LPT weight — are pinned
-  directly, the joins against the counters of the join that ran.
+  ``forced_engines`` override), the columnar join for snapshot-backed
+  databases (against the counters of the join that ran), and the LPT
+  weight — are pinned directly; the in-memory join threshold is pinned
+  in ``tests/test_columnar.py``.
 """
 
 import itertools
@@ -42,7 +43,6 @@ from repro.core.analyzer import COMPONENT_SPLIT_THRESHOLD, split_instance
 from repro.db import Database, endogenous_tuple_count
 from repro.parallel import PairTask
 from repro.query.columnar import (
-    MIN_TUPLES_DEFAULT,
     _use_columnar,
     backend_counters,
     reset_backend_counters,
@@ -235,68 +235,26 @@ def _chain_db(endogenous, exogenous):
 
 
 class TestLayerDecisions:
-    def test_split_counts_endogenous_tuples(self, monkeypatch):
-        """A parallel exact batch splits an instance into component
-        tasks by its endogenous tuple count, not its total size."""
-        mostly_exogenous = _chain_db(endogenous=300, exogenous=200)
-        assert len(mostly_exogenous) >= 400
-        tasks = _split_tasks(monkeypatch, mostly_exogenous, q_chain)
-        assert any(isinstance(t, PairTask) for t in tasks)
-
-        large = _chain_db(endogenous=402, exogenous=0)
-        tasks = _split_tasks(monkeypatch, large, q_chain)
-        assert not any(isinstance(t, PairTask) for t in tasks)
-
-    def test_split_threshold_counts_only_endogenous_tuples(self):
-        """``split_instance`` is the one split rule: at least
-        ``COMPONENT_SPLIT_THRESHOLD`` endogenous tuples, however many
-        exogenous ones the database holds."""
-        below = _chain_db(
-            endogenous=COMPONENT_SPLIT_THRESHOLD - 1,
-            exogenous=COMPONENT_SPLIT_THRESHOLD,
-        )
-        assert endogenous_tuple_count(below) == COMPONENT_SPLIT_THRESHOLD - 1
-        assert not split_instance(below)
-        at = _chain_db(endogenous=COMPONENT_SPLIT_THRESHOLD, exogenous=0)
-        assert endogenous_tuple_count(at) == COMPONENT_SPLIT_THRESHOLD
-        assert split_instance(at)
-
     @pytest.mark.parametrize(
-        "size", (MIN_TUPLES_DEFAULT - 1, MIN_TUPLES_DEFAULT), ids=("below", "at")
+        "endogenous, exogenous, splits",
+        (
+            (300, 200, False),
+            (COMPONENT_SPLIT_THRESHOLD - 1, COMPONENT_SPLIT_THRESHOLD, False),
+            (COMPONENT_SPLIT_THRESHOLD, 0, True),
+            (402, 0, True),
+        ),
     )
-    def test_join_that_runs_follows_the_size_rule(self, size):
-        """An in-memory database joins columnar from
-        ``MIN_TUPLES_DEFAULT`` tuples on, and the counters show the
-        join ``_use_columnar`` picked."""
-        db = _chain_db(endogenous=size, exogenous=0)
-        assert len(db) == size
-        columnar = _use_columnar(db)
-        assert columnar == (size >= MIN_TUPLES_DEFAULT)
-        clear_witness_cache()
-        reset_backend_counters()
-        solve(db, q_chain)
-        counters = backend_counters()
-        taken, other = ("columnar", "reference") if columnar else (
-            "reference",
-            "columnar",
-        )
-        assert counters[taken] >= 1
-        assert counters[other] == 0
-        assert counters["fallback"] == 0
-
-    def test_small_zoo_instance_joins_reference_whole(self):
-        """A small zoo instance takes the reference join and is not
-        split: the decisions read the same before and after a solve
-        warms the structure cache."""
-        db, query = _instance("q_chain", seed=10, skewed=0)
-        clear_witness_cache()
-        cold = (_use_columnar(db), split_instance(db))
-        assert cold == (False, False)
-        reset_backend_counters()
-        solve(db, query)
-        assert backend_counters()["reference"] >= 1
-        assert backend_counters()["columnar"] == 0
-        assert (_use_columnar(db), split_instance(db)) == cold
+    def test_split_counts_endogenous_tuples(
+        self, monkeypatch, endogenous, exogenous, splits
+    ):
+        """A parallel exact batch splits an instance into component
+        tasks from ``COMPONENT_SPLIT_THRESHOLD`` endogenous tuples on,
+        however many exogenous ones it holds."""
+        db = _chain_db(endogenous=endogenous, exogenous=exogenous)
+        assert endogenous_tuple_count(db) == endogenous
+        assert split_instance(db) == splits
+        tasks = _split_tasks(monkeypatch, db, q_chain)
+        assert any(isinstance(t, PairTask) for t in tasks) != splits
 
     def test_forced_split_shards_a_small_instance(self, monkeypatch):
         """``forced_engines(split=True)`` splits below the threshold:

@@ -17,6 +17,7 @@ from oracles.engines import forced_engines
 from repro.query.columnar import (
     MIN_TUPLES_DEFAULT,
     ColumnarDatabase,
+    _use_columnar,
     backend_counters,
     columnar_valuations,
     columnar_witness_incidence,
@@ -295,6 +296,7 @@ class TestBackendDispatch:
                                (MIN_TUPLES_DEFAULT, "columnar")):
             database = Database()
             database.add_all("R", [(i, i + 1) for i in range(size)])
+            assert _use_columnar(database) == (expected == "columnar"), size
             reset_backend_counters()
             try_witness_tuple_sets(database, query)
             assert backend_counters()[expected] == 1, size

@@ -54,7 +54,7 @@ from repro.resilience import (
 )
 from repro.resilience.flow_special import solve_qACconf, solve_qAperm, solve_qperm
 from repro.resilience.solver import dispatch_plan_for
-from repro.witness import clear_witness_cache, witness_cache_info
+from repro.witness import clear_witness_cache
 
 SETTINGS = settings(
     deadline=None,
@@ -483,10 +483,3 @@ class TestSizeRuleInputs:
         assert witness_estimate(db, q_chain) == min(
             len(edge_list) ** 2, WITNESS_ESTIMATE_CAP
         )
-
-    def test_cache_peek_does_not_disturb_cache_telemetry(self):
-        db = chain_db([(0, 1), (1, 2), (2, 0), (2, 3)])
-        clear_witness_cache()
-        before = witness_cache_info()
-        witness_estimate(db, q_chain)
-        assert witness_cache_info() == before

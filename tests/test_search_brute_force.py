@@ -10,25 +10,28 @@ This module checks those claims against ground truth that shares no
 code with the engine: the minimum is found by enumerating every subset
 of the (at most 12) tuples.
 
-For every form of the search — the bitmask search, its int-mask core
-(the entry IJP's condition-5 prescreen calls), its frozenset mirror,
-and the cost-weighted frozenset search — and every node limit:
+For every form of the search — the bitmask search, its frozenset
+mirror, and the cost-weighted frozenset search — and every node limit:
 
 * the incumbent hits every row;
 * ``lower <= optimum <= cost(incumbent)``;
 * ``completed`` implies ``lower == cost(incumbent) == optimum``.
+
+The condition-5 prescreen's entry (:func:`repro.ijp.space._hitting_number`)
+seeds the mask core its own way and runs it without a budget, on row
+lists that may be empty or repeat rows; its value must be the optimum.
 """
 
 import random
 from itertools import combinations
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from repro.ijp.space import _hitting_number
 from repro.resilience.approx import (
     _BudgetMeter,
     _budgeted_bnb,
     _budgeted_bnb_bitset,
-    _budgeted_bnb_masks,
     _budgeted_bnb_reference,
     greedy_hitting_set,
 )
@@ -106,17 +109,6 @@ def _searches(sets, costs):
                 ),
             )
         )
-        bit_of = {t: 1 << i for i, t in enumerate(universe)}
-        masks = [sum(bit_of[t] for t in row) for row in sets]
-
-        def on_masks(seed, meter):
-            lower, best, completed = _budgeted_bnb_masks(
-                masks, sum(bit_of[t] for t in seed), meter
-            )
-            chosen = {t for t in universe if best & bit_of[t]}
-            return lower, chosen, completed
-
-        forms.append(("masks", on_masks))
     return forms
 
 
@@ -140,3 +132,20 @@ def test_search_against_brute_force(system, node_limit, greedy_seed):
             assert lower == _cost(incumbent, costs) == optimum, name
         if node_limit is None:
             assert completed, name
+
+
+@given(set_systems, st.integers(min_value=0), st.booleans())
+@example(_random_system(0), 0, False)  # no rows
+def test_ijp_hitting_number_against_brute_force(system, cut, repeat):
+    """A prefix of the rows (none at all when ``cut`` is a multiple of
+    ``len(sets) + 1``), with every other row repeated at the end when
+    ``repeat`` is set, as int masks."""
+    sets, _ = system
+    rows = sets[: cut % (len(sets) + 1)]
+    if repeat:
+        rows = rows + rows[::2]
+    universe = sorted(set().union(*rows))
+    bit_of = {t: 1 << i for i, t in enumerate(universe)}
+    masks = [sum(bit_of[t] for t in row) for row in rows]
+    meter = _BudgetMeter(Budget())
+    assert _hitting_number(masks, meter) == brute_force_minimum(rows, None)
