@@ -82,7 +82,7 @@ from repro.incremental import IncrementalSession, Update
 from repro.structure import Classification, Verdict, classify, normalize
 from repro.witness import ResultCache, WitnessStructure, witness_structure
 
-__version__ = "2.6.0"
+__version__ = "2.7.0"
 
 __all__ = [
     "Database",

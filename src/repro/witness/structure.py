@@ -38,12 +38,16 @@ per-id costs (:attr:`WitnessStructure.costs`), and the preserved
 invariant becomes ``opt_w(original) = cost(forced) + opt_w(reduced)``.
 An unweighted build is bit-for-bit the historical pipeline.
 
-Internally witness sets are ``frozenset``s of integer tuple-ids; stage
-3's subset tests run on Python-int *bitsets* over witness rows (a
-single ``& ~`` per candidate pair), built per round from the sets.
-The scipy CSR incidence matrix consumed by the ILP backend is built
-directly from the same ids via :meth:`WitnessStructure.incidence_matrix`
-/ :meth:`WitnessComponent.incidence_matrix`.
+Internally witness sets are ``frozenset``s of integer tuple-ids.  From
+:data:`_BITSET_MIN_SETS` sets on, stages 1–3 run on one padded numpy
+matrix of those ids instead (:func:`_reduce_matrix`): superset
+elimination looks subset keys up among sorted row keys, stage 3's
+subset test ``rows(t) ⊆ rows(u)`` becomes ``|rows(t) ∩ rows(u)| ==
+deg(t)`` over counts of co-occurring row pairs, and rounds after the
+first revisit only what the round before changed.  The scipy CSR
+incidence matrix consumed by the ILP backend is built directly from the
+same ids via :meth:`WitnessStructure.incidence_matrix` /
+:meth:`WitnessComponent.incidence_matrix`.
 """
 
 from __future__ import annotations
@@ -589,11 +593,12 @@ _BITSET_MIN_SETS = 48
 # Witness sets are held as one padded numpy int64 matrix: row = witness
 # set with its tuple ids ascending, right-padded with ``pad`` (one past
 # the largest id, so ascending row sort keeps real ids in front).
-# Superset elimination probes subset keys against hashed row keys,
-# unit forcing and dominated-tuple elimination run on numpy masks and
-# Python-int row bitsets (AND/OR/popcount) — no frozenset algebra on
-# the hot path.  Every stage reproduces the reference pipeline's
-# deterministic output order exactly.
+# Superset elimination looks subset keys up among sorted row keys, unit
+# forcing runs on numpy masks, and dominated-tuple elimination counts
+# how often two tuples share a row — no frozenset algebra on the hot
+# path.  Every stage reproduces the reference pipeline's deterministic
+# output order exactly.  Ids are dense (universe positions), so the
+# per-id masks and counts below are no larger than the universe.
 
 def _matrix_from_sets(
     sets: Sequence[FrozenSet[int]],
@@ -635,156 +640,156 @@ def _row_keys(mat: np.ndarray, base: int) -> Optional[np.ndarray]:
     return mat @ powers
 
 
-def _minimal_matrix(mat: np.ndarray, pad: int) -> np.ndarray:
+def _minimal_matrix(
+    mat: np.ndarray, pad: int, shrunk: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, np.ndarray]:
     """Deduplicate, order by ``(len, elements)``, drop non-minimal rows.
 
-    A row is non-minimal iff one of its proper subsets is also a row;
-    subsets are enumerated per (length, position-pattern) and probed
-    vectorized against the hashed row keys — the bitset analogue of the
-    reference ``_minimal_sets`` (same output, same order).
+    A row is non-minimal iff one of its proper subsets is also a row.
+    Each row's subsets of every size some row has are keyed, all
+    position patterns of one (length, size) at once, and looked up among
+    the sorted row keys — the matrix form of the reference
+    ``_minimal_sets`` (same output, same order).
+
+    ``shrunk`` marks the rows that lost tuples since the matrix was last
+    distinct and minimal.  A row can then only duplicate or strictly
+    contain a shrunk row (two other rows relate as they did before, and
+    a shrunk row only lost elements), so only the shrunk rows are looked
+    up, and only rows holding the smallest id of one are probed.
+    Returns the minimal matrix and the rows it removed.
     """
     from itertools import combinations
 
+    from repro.query.columnar import _combine_keys
+
     base = pad + 1
-    k = mat.shape[1]
+    m, k = mat.shape
+    lengths = (mat != pad).sum(axis=1)
     keys = _row_keys(mat, base)
     if keys is not None and (k + 1) * float(base) ** k < 2**62:
-        # Fast path: one int64 key per row already realizes the
-        # deduplication *and* the (len, elements) order — rows of equal
-        # length share their padding digits, so the positional encoding
-        # compares exactly like the element tuples.
-        lengths = (mat != pad).sum(axis=1)
+        # One int64 key per row realizes the deduplication *and* the
+        # (len, elements) order — rows of equal length share their
+        # padding digits, so the positional encoding compares exactly
+        # like the element tuples.
         combined = lengths * np.int64(base) ** k + keys
         order = np.argsort(combined, kind="stable")
         combined = combined[order]
-        first = np.ones(len(order), dtype=bool)
+        first = np.ones(m, dtype=bool)
         first[1:] = combined[1:] != combined[:-1]
-        mat = mat[order[first]]
-        keys = keys[order[first]]
+        kept = order[first]
     else:
-        mat = np.unique(mat, axis=0)
-        lengths = (mat != pad).sum(axis=1)
-        order = np.lexsort(
-            tuple(mat[:, j] for j in range(k - 1, -1, -1)) + (lengths,)
-        )
-        mat = mat[order]
-        keys = _row_keys(mat, base)
-    m = mat.shape[0]
-    lengths = (mat != pad).sum(axis=1)
-    if m == 0 or k <= 1:
-        return mat
-
+        kept = np.unique(mat, axis=0, return_index=True)[1]
+        kept = kept[
+            np.lexsort(
+                tuple(mat[kept, j] for j in range(k - 1, -1, -1))
+                + (lengths[kept],)
+            )
+        ]
+    duplicate = np.ones(m, dtype=bool)
+    duplicate[kept] = False
+    removed = mat[duplicate]
+    mat, lengths = mat[kept], lengths[kept]
     if keys is not None:
-        sorted_keys = np.sort(keys)
-        powers = base ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    drop = np.zeros(m, dtype=bool)
-    for length in np.unique(lengths):
-        length = int(length)
-        if length < 2:
-            continue
-        rows = np.flatnonzero(lengths == length)
-        for r in range(1, length):
-            for pattern in combinations(range(length), r):
-                cols = [mat[rows, j] for j in pattern]
-                if keys is not None:
-                    probe = sum(
-                        col * powers[i] for i, col in enumerate(cols)
-                    ) + int(pad * powers[r:].sum())
-                    pos = np.searchsorted(sorted_keys, probe)
-                    pos_c = np.minimum(pos, len(sorted_keys) - 1)
-                    hit = (pos < len(sorted_keys)) & (
-                        sorted_keys[pos_c] == probe
-                    )
-                else:
-                    from repro.query.columnar import _combine_keys
+        keys = keys[kept]
+    if not len(mat) or k <= 1:
+        return mat, removed
 
-                    pad_col = np.full(len(rows), pad, dtype=np.int64)
-                    probe_cols = list(cols) + [pad_col] * (k - r)
-                    present_cols = [mat[:, j] for j in range(k)]
+    # A shrunk row's duplicate that stayed unshrunk has no strict
+    # superset either (any would have been one before), so marking
+    # only the kept copies of shrunk rows loses nothing.
+    target = np.ones(len(mat), dtype=bool) if shrunk is None else shrunk[kept]
+    sizes = sorted(set(lengths[target].tolist()))
+    present = [mat[target, j] for j in range(k)]
+    if keys is not None:
+        sorted_keys = np.sort(keys[target])
+        powers = base ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    # A strict superset of a target holds the target's smallest id.
+    holds = np.zeros(base, dtype=bool)
+    holds[present[0]] = True
+    holds[pad] = False
+    candidate = holds[mat].any(axis=1)
+    drop = np.zeros(len(mat), dtype=bool)
+    for length in sorted(set(lengths[candidate].tolist())):
+        rows = np.flatnonzero((lengths == length) & candidate)
+        for r in sizes:
+            if r >= length:
+                break
+            patterns = np.array(list(combinations(range(length), r)))
+            # Blocks of rows keep each probe under 2**16 keys.
+            step = max(1, (1 << 16) // len(patterns))
+            for start in range(0, len(rows), step):
+                block = rows[start:start + step]
+                sub = mat[block]
+                cols = [sub[:, patterns[:, i]] for i in range(r)]
+                if keys is not None:
+                    probe = sum(col * powers[i] for i, col in enumerate(cols))
+                    probe += int(pad * powers[r:].sum())
+                    pos = np.searchsorted(sorted_keys, probe)
+                    pos = np.minimum(pos, len(sorted_keys) - 1)
+                    hit = sorted_keys[pos] == probe
+                else:
+                    fill = [np.full(cols[0].size, pad)] * (k - r)
                     present_key, probe_key = _combine_keys(
-                        present_cols, probe_cols, base
+                        present, [col.ravel() for col in cols] + fill, base
                     )
-                    sorted_present = np.sort(present_key)
-                    pos = np.searchsorted(sorted_present, probe_key)
-                    pos_c = np.minimum(pos, len(sorted_present) - 1)
-                    hit = (pos < len(sorted_present)) & (
-                        sorted_present[pos_c] == probe_key
-                    )
-                drop[rows[hit]] = True
-    return mat[~drop]
+                    hit = np.isin(probe_key, present_key).reshape(cols[0].shape)
+                drop[block[hit.any(axis=1)]] = True
+    return mat[~drop], np.concatenate((removed, mat[drop]))
 
 
 def _dominated_matrix(
-    mat: np.ndarray, pad: int, costs: Optional[Sequence[int]] = None
+    mat: np.ndarray,
+    pad: int,
+    costs: Optional[Sequence[int]] = None,
+    revisit: Optional[np.ndarray] = None,
 ) -> List[int]:
     """The dominated tuples of a padded matrix (ascending ids).
 
-    Identical semantics to the reference :func:`_dominated_tuples`:
-    tuples scanned ascending, candidate dominators drawn from the
-    tuple's lowest row ascending, equal row sets keep the smallest id,
-    and on weighted instances (``costs``) a dominator must be
-    cheaper-or-equal, with strictly-cheaper winning equal row sets.
-    The subset test ``rows(t) ⊆ rows(u)`` becomes a counting identity —
-    ``|rows(t) ∩ rows(u)| == deg(t)`` — over a vectorized co-occurrence
-    table, so no per-pair set algebra survives on the hot path.
+    The rule of the reference :func:`_dominated_tuples`: ``t`` is
+    dominated iff some ``u != t`` has ``cost(u) <= cost(t)``,
+    ``rows(t) ⊆ rows(u)`` and (``rows(t) != rows(u)`` or ``cost(u) <
+    cost(t)`` or ``u < t``), every cost being 1 unweighted.  The
+    relation is transitive and strictly increases ``(|rows|, -cost,
+    -id)``, so every dominated tuple has an undominated dominator: the
+    reference scan's skipping of dominators it already marked changes
+    nothing, and the set does not depend on any scan order.  One
+    vectorized test decides it, with ``|rows(t) ∩ rows(u)| == deg(t)``
+    as the subset test over the co-occurrence counts of row pairs.
+
+    ``revisit`` (a boolean mask over ids and ``pad``) tests only those
+    tuples, and counts pairs only in the rows that hold one of them.
     """
-    m, k = mat.shape
-    if m == 0:
-        return []
     base = pad + 1
-    if base > 3_000_000_000:  # pragma: no cover - ids are dense indices
-        return _dominated_tuples(_sets_from_matrix(mat, pad), costs=costs)
-    rows = np.repeat(np.arange(m, dtype=np.int64), k)
-    vals = mat.ravel()
-    keep = vals != pad
-    rows = rows[keep]
-    vals = vals[keep]
-    order = np.argsort(vals, kind="stable")
-    vals_s = vals[order]
-    rows_s = rows[order]
-    uniq, starts, counts = np.unique(
-        vals_s, return_index=True, return_counts=True
-    )
-    deg = dict(zip(uniq.tolist(), counts.tolist()))
-    lowest = dict(zip(uniq.tolist(), rows_s[starts].tolist()))
-
-    pair_keys = []
-    for i in range(k):
-        a = mat[:, i]
-        for j in range(k):
-            if i == j:
-                continue
-            b = mat[:, j]
-            valid = (a != pad) & (b != pad)
-            if valid.any():
-                pair_keys.append(a[valid] * base + b[valid])
-    co: Dict[int, int] = {}
-    if pair_keys:
-        keys, key_counts = np.unique(
-            np.concatenate(pair_keys), return_counts=True
+    deg = np.bincount(mat.ravel(), minlength=base)
+    if revisit is not None:
+        mat = mat[revisit[mat].any(axis=1)]
+    # Rows are ascending with the padding last, so column i < j holds
+    # the smaller id of each pair, and a real id in column j has real
+    # ids in every column before it.
+    pairs = []
+    for j in range(1, mat.shape[1]):
+        real = mat[:, j] != pad
+        high = mat[real, j]
+        pairs.extend(mat[real, i] * base + high for i in range(j))
+    if not pairs:
+        return []
+    keys, co = np.unique(np.concatenate(pairs), return_counts=True)
+    lo, hi = np.divmod(keys, base)
+    lo_dominated = co == deg[lo]
+    hi_dominated = co == deg[hi]
+    if costs is None:
+        lo_dominated &= deg[hi] != deg[lo]
+    else:
+        cost = np.asarray(costs)
+        cost_lo, cost_hi = cost[lo], cost[hi]
+        lo_dominated &= (cost_hi < cost_lo) | (
+            (cost_hi == cost_lo) & (deg[hi] != deg[lo])
         )
-        co = dict(zip(keys.tolist(), key_counts.tolist()))
-
-    row_lists = mat.tolist()
-    dominated: Set[int] = set()
-    for t in uniq.tolist():
-        deg_t = deg[t]
-        cost_t = 1 if costs is None else costs[t]
-        key_base = t * base
-        for u in row_lists[lowest[t]]:
-            if u == pad:
-                break  # rows are ascending; padding is the tail
-            if u == t or u in dominated:
-                continue
-            cost_u = 1 if costs is None else costs[u]
-            if cost_u > cost_t:
-                continue
-            if co.get(key_base + u, 0) == deg_t and (
-                deg[u] != deg_t or cost_u < cost_t or u < t
-            ):
-                dominated.add(t)
-                break
-    return sorted(dominated)
+        hi_dominated &= cost_lo <= cost_hi
+    dominated = np.union1d(lo[lo_dominated], hi[hi_dominated])
+    if revisit is not None:
+        dominated = dominated[revisit[dominated]]
+    return dominated.tolist()
 
 
 def _reduce_matrix(
@@ -798,36 +803,54 @@ def _reduce_matrix(
     Mirrors :func:`_reduce_reference` round for round (same ``rounds``
     and ``witnesses_minimal`` accounting, same fixpoint condition) and
     returns ``(final_matrix, forced_ids, n_dominated)``.
+
+    Round 1 runs every stage on the whole matrix.  Later rounds revisit
+    only what the round before changed, since rows only shrink or go:
+    superset elimination probes only for the rows domination shrank, and
+    domination retests only the tuples of the rows superset elimination
+    removed.  A tuple whose rows all remain was not dominated at the last
+    pass and cannot be now.  A round with nothing to revisit changes
+    nothing; it is counted and ends the fixpoint.
     """
     forced: Set[int] = set()
     dominated_total = 0
-    first = True
+    shrunk: Optional[np.ndarray] = None  # rows the last domination shrank
     changed = True
     while changed:
         stats.rounds += 1
-        changed = False
-
-        minimal = _minimal_matrix(mat, pad)
-        if minimal.shape[0] != mat.shape[0]:
-            changed = True
+        if shrunk is not None and not shrunk.any():
+            break
+        minimal, removed = _minimal_matrix(mat, pad, shrunk)
+        changed = minimal.shape[0] != mat.shape[0]
         mat = minimal
-        if first:
+        if shrunk is None:
             stats.witnesses_minimal = mat.shape[0]
-            first = False
 
-        lengths = (mat != pad).sum(axis=1) if mat.size else np.zeros(0, int)
-        units = np.unique(mat[lengths == 1, 0]) if mat.size else np.zeros(0, int)
-        if units.size:
-            forced.update(int(u) for u in units)
-            keep = ~np.isin(mat, units).any(axis=1)
-            mat = mat[keep]
+        # The rows are distinct and minimal now, so the only row that
+        # holds a unit's tuple is the unit itself: forcing drops just
+        # those rows, and no other tuple's rows change.
+        unit = (mat != pad).sum(axis=1) == 1
+        if unit.any():
+            forced.update(mat[unit, 0].tolist())
+            mat = mat[~unit]
             changed = True
 
-        dominated = _dominated_matrix(mat, pad, costs=costs)
+        revisit = None  # round 1 tests every tuple
+        if shrunk is not None:
+            revisit = np.zeros(pad + 1, dtype=bool)
+            revisit[removed] = True
+            revisit[pad] = False
+        dominated = []
+        if revisit is None or len(removed):
+            dominated = _dominated_matrix(mat, pad, costs, revisit)
+        shrunk = np.zeros(len(mat), dtype=bool)
         if dominated:
             dominated_total += len(dominated)
-            dom = np.array(dominated, dtype=np.int64)
-            mat = np.where(np.isin(mat, dom), np.int64(pad), mat)
+            gone = np.zeros(pad + 1, dtype=bool)
+            gone[dominated] = True
+            hit = gone[mat]
+            shrunk = hit.any(axis=1)
+            mat = np.where(hit, np.int64(pad), mat)
             mat.sort(axis=1)
             changed = True
     return mat, sorted(forced), dominated_total

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles.engines import forced_engines
-from repro.query.zoo import q_chain
+from repro.query.zoo import ALL_QUERIES, q_chain
 from repro.resilience import approx
 from repro.resilience.approx import (
     _BudgetMeter,
@@ -49,6 +49,7 @@ from repro.workloads import (
     random_database_for_query,
     random_ssj_binary_cq,
 )
+from repro.workloads.random_db import assign_skewed_costs
 
 
 # Random hitting-set instances: ids are drawn sparse on purpose so the
@@ -69,6 +70,37 @@ def _random_sets(seed):
     ]
 
 
+# Per-id costs of 1-3, so that cost ties occur, or ``None`` (unweighted).
+cost_seeds = st.none() | st.integers(min_value=0, max_value=10**6)
+
+
+def _random_costs(seed, sets):
+    if seed is None:
+        return None
+    rng = random.Random(seed)
+    return tuple(
+        rng.randint(1, 3) for _ in range(max(t for s in sets for t in s) + 1)
+    )
+
+
+def _assert_fixpoints_equal(sets, costs=None):
+    """``_reduce_matrix`` against ``_reduce_reference``: sets, order,
+    forced ids, domination count, rounds and minimality count."""
+    ref_stats = ReductionStats()
+    ref_sets, ref_forced, ref_dom = _reduce_reference(
+        list(sets), ref_stats, costs=costs
+    )
+    bit_stats = ReductionStats()
+    mat, pad = _matrix_from_sets(sets)
+    out, forced, dom = _reduce_matrix(mat, pad, bit_stats, costs=costs)
+    assert _sets_from_matrix(out, pad) == ref_sets
+    assert frozenset(forced) == ref_forced
+    assert dom == ref_dom
+    assert bit_stats.rounds == ref_stats.rounds
+    assert bit_stats.witnesses_minimal == ref_stats.witnesses_minimal
+    return ref_stats.rounds
+
+
 class TestReductionStages:
     @given(set_systems)
     def test_minimal_matrix_matches_reference_order(self, sets):
@@ -76,33 +108,69 @@ class TestReductionStages:
         (len, sorted elements) output order."""
         reference = _minimal_sets(list(sets))
         mat, pad = _matrix_from_sets(sets)
-        vectorized = _sets_from_matrix(_minimal_matrix(mat, pad), pad)
+        vectorized = _sets_from_matrix(_minimal_matrix(mat, pad)[0], pad)
         assert vectorized == reference
 
-    @given(set_systems)
-    def test_dominated_matrix_matches_reference(self, sets):
-        """Dominated-tuple elimination picks exactly the same tuples."""
+    @given(set_systems, cost_seeds)
+    def test_dominated_matrix_matches_reference(self, sets, cost_seed):
+        """Dominated-tuple elimination picks exactly the same tuples,
+        unweighted and with tied costs (the vectorized test is order-free;
+        the reference scan skips dominators it already marked)."""
+        costs = _random_costs(cost_seed, sets)
         distinct = sorted(set(sets), key=lambda s: (len(s), sorted(s)))
-        reference = _dominated_tuples(distinct)
+        reference = _dominated_tuples(distinct, costs=costs)
         mat, pad = _matrix_from_sets(distinct)
-        assert _dominated_matrix(mat, pad) == reference
+        assert _dominated_matrix(mat, pad, costs=costs) == reference
+
+    @given(set_systems, cost_seeds)
+    def test_reduce_matrix_matches_reference_fixpoint(self, sets, cost_seed):
+        """The full stages 1–3 fixpoint: sets, order, forced ids,
+        domination count, and round/minimality statistics all equal,
+        unweighted and with tied costs."""
+        _assert_fixpoints_equal(sets, _random_costs(cost_seed, sets))
 
     @given(set_systems)
-    def test_reduce_matrix_matches_reference_fixpoint(self, sets):
-        """The full stages 1–3 fixpoint: sets, order, forced ids,
-        domination count, and round/minimality statistics all equal."""
-        ref_stats = ReductionStats()
-        ref_sets, ref_forced, ref_dom = _reduce_reference(
-            list(sets), ref_stats
+    def test_reduce_matrix_matches_reference_on_large_ids(self, sets):
+        """Ids past a million overflow the int64 keys: superset
+        elimination then sorts rows column by column and compresses its
+        subset keys (width >= 4), or sorts by columns but still keys
+        rows (width 3); width <= 2 keeps the one-key sort.  The fixpoint
+        is the same on every path."""
+        _assert_fixpoints_equal(
+            [frozenset(t + 1_100_000 for t in s) for s in sets]
         )
-        bit_stats = ReductionStats()
-        mat, pad = _matrix_from_sets(sets)
-        out, forced, dom = _reduce_matrix(mat, pad, bit_stats)
-        assert _sets_from_matrix(out, pad) == ref_sets
-        assert frozenset(forced) == ref_forced
-        assert dom == ref_dom
-        assert bit_stats.rounds == ref_stats.rounds
-        assert bit_stats.witnesses_minimal == ref_stats.witnesses_minimal
+
+    # The np_exact benchmark's queries at the top of their size ladder.
+    CORPUS = (
+        ("q_chain", 60),
+        ("q_3chain", 35),
+        ("q_C3cc", 200),
+        ("q_AC3conf", 250),
+        ("q_a_chain", 400),
+    )
+
+    def test_reduce_matrix_matches_reference_on_long_fixpoints(self):
+        """Witness systems of real joins, unit and skewed costs.  Random
+        set systems rarely need more than six rounds; this corpus holds
+        fixpoints of at least eight, where later rounds revisit only
+        what the round before changed."""
+        rounds = []
+        for name, n_tuples in self.CORPUS:
+            query = ALL_QUERIES[name]
+            for seed in range(3):
+                db = large_random_database(
+                    [query], n_tuples=n_tuples, rng=random.Random(seed)
+                )
+                for weighted in (False, True):
+                    if weighted:
+                        assign_skewed_costs(db, seed=seed)
+                    ws = WitnessStructure.build(
+                        db, query, reduce=False, weighted=weighted
+                    )
+                    rounds.append(
+                        _assert_fixpoints_equal(list(ws.raw_sets), ws.costs)
+                    )
+        assert max(rounds) >= 8, rounds
 
     @given(set_systems)
     def test_reduce_dispatcher_matches_reference(self, sets):
