@@ -2,7 +2,7 @@
 
 The reference evaluator of :mod:`repro.query.evaluation` enumerates the
 witnesses of ``D |= q`` (Section 2) with a Python backtracking join:
-per-valuation dict copies, per-fact index probes, per-atom loops.  That
+per-fact index probes and per-atom loops.  On large instances that
 is the dominant cost of building a
 :class:`~repro.witness.structure.WitnessStructure` on the scaling
 workloads, so this module re-implements the *same* enumeration as a
@@ -12,12 +12,14 @@ vectorized hash/sort-merge join over dictionary-encoded relations:
    into a dense integer code and stores each relation as a
    ``(n, arity)`` numpy int64 code matrix plus a parallel vector of
    global tuple ids (positions into one flat fact list);
-2. the join processes atoms in the exact order the reference evaluator
-   uses (:func:`repro.query.evaluation._order_atoms`), keeping the
-   frontier of partial valuations as numpy columns — one array per
-   bound variable, one array of matched tuple ids per processed atom —
-   and extends it per atom with a sort/searchsorted equi-join on the
-   composite key of already-bound positions;
+2. the join reads the backtracking evaluator's own plan
+   (:func:`repro.query.evaluation._join_plan`, cached per query body):
+   it processes atoms in that plan's greedy order over its
+   variable-slot layout, keeping the frontier of partial valuations as
+   numpy columns — one array per bound variable, one array of matched
+   tuple ids per processed atom — and extends it per atom with a
+   sort/searchsorted equi-join on the composite key of already-bound
+   positions;
 3. the result is the witness → tuple-id incidence *directly*: a
    ``(witnesses, atoms)`` matrix of global tuple ids, from which the
    endogenous witness tuple sets of Section 2 / Definition 1 (the input
@@ -278,16 +280,18 @@ def _atom_join_plan(cdb: ColumnarDatabase, query: ConjunctiveQuery):
     relation (the only remaining unsupported case — the caller falls
     back to the reference evaluator), else a list of
     ``(atom, codes, ids, bound, free)`` steps where ``bound``/``free``
-    are ``(slot, column)`` pairs over the shared variable-slot layout
-    (slot = order of first binding across the ordered atoms).
-    Within-atom repeated variables are filtered here, once.
+    are ``(slot, column)`` pairs.  The atom order and the variable-slot
+    layout are the backtracking join's own plan
+    (:func:`repro.query.evaluation._join_plan`), computed once per
+    query body; only the per-database parts are built here: each
+    relation's codes and ids, filtered once by the plan's within-atom
+    repeat checks.
     """
-    from repro.query.evaluation import _order_atoms
+    from repro.query.evaluation import _join_plan
 
-    ordered = _order_atoms(query)
-    var_slot: Dict[str, int] = {}
+    plan = _join_plan(query.atoms)
     steps = []
-    for atom in ordered:
+    for atom, step in zip(plan.atoms, plan.steps):
         entry = cdb.relations.get(atom.relation)
         if entry is None:
             codes = np.empty((0, atom.arity), dtype=np.int64)
@@ -296,26 +300,14 @@ def _atom_join_plan(cdb: ColumnarDatabase, query: ConjunctiveQuery):
             codes, ids = entry
             if codes.shape[1] != atom.arity:
                 return None
-        first_pos: Dict[str, int] = {}
-        mask = None
-        for j, var in enumerate(atom.args):
-            if var in first_pos:
-                agree = codes[:, first_pos[var]] == codes[:, j]
-                mask = agree if mask is None else (mask & agree)
-            else:
-                first_pos[var] = j
-        if mask is not None:
+        if step.checks:
+            mask = np.logical_and.reduce(
+                [codes[:, first] == codes[:, pos] for pos, first in step.checks]
+            )
             codes = codes[mask]
             ids = np.asarray(ids)[mask]
-        bound = []
-        free = []
-        for var, j in first_pos.items():
-            slot = var_slot.get(var)
-            if slot is not None:
-                bound.append((slot, j))
-            else:
-                var_slot[var] = len(var_slot)
-                free.append((var_slot[var], j))
+        bound = [(slot, pos) for pos, slot in step.bound]
+        free = [(slot, pos) for pos, slot in step.free]
         steps.append((atom, codes, ids, bound, free))
     return steps
 

@@ -6,22 +6,40 @@ set of at most ``m`` tuples it uses; contingency sets must intersect the
 endogenous part of every witness, which is exactly what the resilience
 solvers consume.
 
-The evaluator is a backtracking join with a greedy bound-variable-first
-atom ordering and per-atom indexes.  This is worst-case exponential in
-``|q|`` (CQ evaluation is NP-complete in combined complexity) but the
-query is fixed in all our uses (data complexity), so enumeration runs in
-polynomial time ``O(n^{|var(q)|})``.
+The evaluator is a backtracking join over per-relation hash indexes.
+Everything about it that depends only on the query is worked out once
+per query body and cached (:func:`_join_plan`): the greedy
+bound-variable-first atom order (:func:`_order_atoms`), a slot per
+variable, and for each atom the positions whose variables an earlier
+atom binds (the index key), the positions that bind new variables, and
+the within-atom repeats to check.  The join itself
+(:func:`_match`) binds *facts*: it yields, per witness, the tuple of
+database facts the atoms matched, so witness tuple sets are frozensets
+of the database's own facts and no valuation dict is built unless a
+caller asks for one (:func:`iter_witnesses` reads it off the slots).
+One join serves :func:`satisfies`, :func:`witness_tuple_sets`,
+:func:`iter_witnesses` and the incremental delta join
+(:func:`iter_witnesses_using`); the columnar join of
+:mod:`repro.query.columnar` reads the same plan.
+
+This is worst-case exponential in ``|q|`` (CQ evaluation is NP-complete
+in combined complexity) but the query is fixed in all our uses (data
+complexity), so enumeration runs in polynomial time
+``O(n^{|var(q)|})``.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import lru_cache
+from operator import itemgetter
 from typing import (
     Dict,
     FrozenSet,
     Hashable,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -40,28 +58,34 @@ class _AtomIndex:
     """Hash indexes over one relation, keyed by argument-position subsets.
 
     For an atom ``R(z1,...,zk)`` evaluated when positions ``B`` are
-    already bound, we probe the index keyed by ``B`` with the bound
-    values and iterate only matching facts.
+    already bound, the join probes the index keyed by ``B`` with the
+    bound values and iterates only matching facts.  A key is the bare
+    value for one position and a tuple of values for several (the shape
+    ``operator.itemgetter`` reads), so the join builds probe keys with
+    one call.
     """
 
     def __init__(self, facts: Sequence[DBTuple]):
         self.facts = list(facts)
-        self._indexes: Dict[Tuple[int, ...], Dict[Tuple, List[DBTuple]]] = {}
+        self._indexes: Dict[Tuple[int, ...], Dict[Hashable, List[DBTuple]]] = {}
 
-    def probe(self, positions: Tuple[int, ...], key: Tuple) -> List[DBTuple]:
+    def table(self, positions: Tuple[int, ...]) -> Dict[Hashable, List[DBTuple]]:
+        """The (lazily built) index keyed by ``positions``: the facts
+        with each key, in snapshot order."""
         index = self._indexes.get(positions)
         if index is None:
-            index = defaultdict(list)
+            read = itemgetter(*positions)
+            grouped = defaultdict(list)
             for fact in self.facts:
-                index[tuple(fact.values[p] for p in positions)].append(fact)
-            self._indexes[positions] = dict(index)
-        return index.get(key, [])
+                grouped[read(fact.values)].append(fact)
+            index = self._indexes[positions] = dict(grouped)
+        return index
 
     def add_fact(self, fact: DBTuple) -> None:
         """Extend the snapshot (and every built position index) by one fact."""
         self.facts.append(fact)
         for positions, index in self._indexes.items():
-            key = tuple(fact.values[p] for p in positions)
+            key = itemgetter(*positions)(fact.values)
             index.setdefault(key, []).append(fact)
 
     def remove_fact(self, fact: DBTuple) -> None:
@@ -71,8 +95,7 @@ class _AtomIndex:
         except ValueError:
             return
         for positions, index in self._indexes.items():
-            key = tuple(fact.values[p] for p in positions)
-            bucket = index.get(key)
+            bucket = index.get(itemgetter(*positions)(fact.values))
             if bucket is not None:
                 try:
                     bucket.remove(fact)
@@ -144,11 +167,11 @@ class DatabaseIndex:
             index.remove_fact(fact)
 
 
-def _order_atoms(query: ConjunctiveQuery, bound=()) -> List[Atom]:
+def _order_atoms(atoms: Sequence[Atom], bound=()) -> List[Atom]:
     """Greedy join order: repeatedly pick the atom sharing most variables
     with those already bound (ties: fewer new variables, then body order).
     ``bound`` lists variables a seed valuation has already fixed."""
-    remaining = list(query.atoms)
+    remaining = list(atoms)
     ordered: List[Atom] = []
     bound: Set[str] = set(bound)
     while remaining:
@@ -161,6 +184,139 @@ def _order_atoms(query: ConjunctiveQuery, bound=()) -> List[Atom]:
         ordered.append(best)
         bound.update(best.args)
     return ordered
+
+
+class JoinStep(NamedTuple):
+    """How one atom of a :class:`JoinPlan` is matched against facts.
+
+    Each variable's first occurrence in the atom is either ``bound`` (an
+    earlier atom or the seed bound it: the position is part of the index
+    key) or ``free`` (this atom binds it); both are ``(position, slot)``
+    pairs in position order.  Every later occurrence is a ``checks``
+    pair ``(position, first position)``: an equality test on the fact,
+    never a key position.  The last three fields are the same rule in
+    the form :func:`_match` reads: the key ``positions``, ``key`` (reads
+    the key from the slots; ``None`` for no key) and ``same`` (two
+    readers whose results must be equal; ``None`` for no check).
+    """
+
+    bound: Tuple[Tuple[int, int], ...]
+    free: Tuple[Tuple[int, int], ...]
+    checks: Tuple[Tuple[int, int], ...]
+    positions: Tuple[int, ...]
+    key: Optional[itemgetter]
+    same: Optional[Tuple[itemgetter, itemgetter]]
+
+
+class JoinPlan(NamedTuple):
+    """The query-only part of a join, computed once per body and seed.
+
+    ``variables`` names the slots: the seed's variables first, then
+    every other variable in the order the join binds it.  ``atoms`` is
+    the join order and ``steps`` its per-atom :class:`JoinStep`.
+    """
+
+    variables: Tuple[str, ...]
+    atoms: Tuple[Atom, ...]
+    steps: Tuple[JoinStep, ...]
+
+
+@lru_cache(maxsize=512)
+def _join_plan(atoms: Tuple[Atom, ...], bound: Tuple[str, ...] = ()) -> JoinPlan:
+    """The join plan for a body, with ``bound`` variables seeded.
+
+    Keyed on the atom tuple, not on the query: ``ConjunctiveQuery``
+    equality ignores body order, and body order breaks the greedy
+    order's ties.
+    """
+    ordered = _order_atoms(atoms, bound)
+    slot_of: Dict[str, int] = {var: slot for slot, var in enumerate(bound)}
+    steps: List[JoinStep] = []
+    for atom in ordered:
+        first: Dict[str, int] = {}
+        keyed: List[Tuple[int, int]] = []
+        free: List[Tuple[int, int]] = []
+        checks: List[Tuple[int, int]] = []
+        for pos, var in enumerate(atom.args):
+            if var in first:
+                checks.append((pos, first[var]))
+                continue
+            first[var] = pos
+            slot = slot_of.get(var)
+            if slot is None:
+                slot = slot_of[var] = len(slot_of)
+                free.append((pos, slot))
+            else:
+                keyed.append((pos, slot))
+        steps.append(
+            JoinStep(
+                tuple(keyed),
+                tuple(free),
+                tuple(checks),
+                tuple(pos for pos, _slot in keyed),
+                itemgetter(*(slot for _pos, slot in keyed)) if keyed else None,
+                (
+                    itemgetter(*(pos for pos, _first in checks)),
+                    itemgetter(*(first for _pos, first in checks)),
+                )
+                if checks
+                else None,
+            )
+        )
+    return JoinPlan(tuple(slot_of), tuple(ordered), tuple(steps))
+
+
+def _match(steps, tables, slots: list, facts: list, depth: int):
+    """Match ``steps[depth:]`` in turn; yields the tuple of matched
+    facts, one per step in join order, for every witness.
+
+    ``tables[i]`` is step ``i``'s relation: its fact list when the step
+    has no key, else its index on the key positions.  ``slots`` holds
+    the variable values bound so far; when a tuple is yielded it holds
+    the witness's full valuation.  Module-level rather than a closure: a
+    nested generator that calls itself holds a reference cycle through
+    its closure cell, which would keep every per-call
+    :class:`DatabaseIndex` alive until the cyclic garbage collector
+    runs.
+    """
+    _bound, free, _checks, _positions, key, same = steps[depth]
+    table = tables[depth]
+    candidates = table if key is None else table.get(key(slots), ())
+    last = depth + 1 == len(steps)
+    for fact in candidates:
+        values = fact.values
+        if same is not None and same[0](values) != same[1](values):
+            continue
+        for pos, slot in free:
+            slots[slot] = values[pos]
+        facts[depth] = fact
+        if last:
+            yield tuple(facts)
+        else:
+            yield from _match(steps, tables, slots, facts, depth + 1)
+
+
+def _matches(
+    plan: JoinPlan,
+    database: Database,
+    index: Optional[DatabaseIndex],
+    slots: list,
+) -> Iterator[Tuple[DBTuple, ...]]:
+    """Run ``plan`` over ``database``: the matched-fact tuple of every
+    witness (see :func:`_match`).  An atom whose arity differs from its
+    relation's matches no fact."""
+    if index is None:
+        index = DatabaseIndex(database)
+    relations = database.relations
+    tables = []
+    for atom, step in zip(plan.atoms, plan.steps):
+        rel = relations.get(atom.relation)
+        if rel is not None and rel.arity != len(atom.args):
+            tables.append({} if step.key else [])
+            continue
+        facts = index.for_relation(atom.relation)
+        tables.append(facts.table(step.positions) if step.key else facts.facts)
+    return _match(plan.steps, tables, slots, [None] * len(plan.atoms), 0)
 
 
 #: Cap on :func:`witness_estimate`: the product of relation sizes stops
@@ -216,55 +372,13 @@ def iter_witnesses(
     witnesses of ``D |= q`` that agree with the seed (the workhorse of
     :func:`iter_witnesses_using` and incremental maintenance).
     """
-    ordered = _order_atoms(query, bound=seed or ())
-    if index is None:
-        index = DatabaseIndex(database)
-    indexes: Dict[str, _AtomIndex] = {
-        atom.relation: index.for_relation(atom.relation) for atom in ordered
-    }
-
-    valuation: Valuation = dict(seed) if seed else {}
-    yield from _extend(ordered, indexes, valuation, 0)
-
-
-def _extend(
-    ordered: List[Atom],
-    indexes: Dict[str, _AtomIndex],
-    valuation: Valuation,
-    depth: int,
-) -> Iterator[Valuation]:
-    """Bind atoms ``ordered[depth:]`` in turn; yields complete valuations.
-
-    Module-level rather than a closure: a nested generator that calls
-    itself holds a reference cycle through its closure cell, which
-    would keep every per-call :class:`DatabaseIndex` alive until the
-    cyclic garbage collector runs.
-    """
-    if depth == len(ordered):
-        yield dict(valuation)
-        return
-    atom = ordered[depth]
-    index = indexes[atom.relation]
-    bound_positions = tuple(i for i, v in enumerate(atom.args) if v in valuation)
-    key = tuple(valuation[atom.args[i]] for i in bound_positions)
-    for fact in index.probe(bound_positions, key):
-        # Check consistency for repeated variables within the atom
-        # and bind the free ones.
-        newly_bound: List[str] = []
-        ok = True
-        for i, var in enumerate(atom.args):
-            val = fact.values[i]
-            if var in valuation:
-                if valuation[var] != val:
-                    ok = False
-                    break
-            else:
-                valuation[var] = val
-                newly_bound.append(var)
-        if ok:
-            yield from _extend(ordered, indexes, valuation, depth + 1)
-        for var in newly_bound:
-            del valuation[var]
+    plan = _join_plan(query.atoms, tuple(seed) if seed else ())
+    slots: list = [None] * len(plan.variables)
+    if seed:
+        slots[: len(seed)] = seed.values()
+    names = plan.variables
+    for _facts in _matches(plan, database, index, slots):
+        yield dict(zip(names, slots))
 
 
 def iter_witnesses_using(
@@ -309,7 +423,8 @@ def satisfies(
     index: Optional[DatabaseIndex] = None,
 ) -> bool:
     """``D |= q``: does at least one witness exist?"""
-    for _ in iter_witnesses(database, query, index=index):
+    plan = _join_plan(query.atoms)
+    for _ in _matches(plan, database, index, [None] * len(plan.variables)):
         return True
     return False
 
@@ -373,17 +488,22 @@ def _witness_tuple_sets_reference(
     use this entry point directly so the vectorized attempt is not
     repeated — and not double-counted in the backend counters.
     """
-    flags = dict(query.relation_flags())
-    for name, rel in database.relations.items():
-        if rel.exogenous:
-            flags[name] = True
+    plan = _join_plan(query.atoms)
+    keep = None
+    if endogenous_only:
+        relations = database.relations
+        keep = tuple(
+            i
+            for i, atom in enumerate(plan.atoms)
+            if not atom.exogenous
+            and not getattr(relations.get(atom.relation), "exogenous", False)
+        )
+        if len(keep) == len(plan.atoms):
+            keep = None
     seen: Set[FrozenSet[DBTuple]] = set()
     out: List[FrozenSet[DBTuple]] = []
-    for valuation in iter_witnesses(database, query, index=index):
-        facts = witness_tuples(query, valuation)
-        if endogenous_only:
-            facts = {f for f in facts if not flags.get(f.relation, False)}
-        frozen = frozenset(facts)
+    for facts in _matches(plan, database, index, [None] * len(plan.variables)):
+        frozen = frozenset(facts if keep is None else [facts[i] for i in keep])
         if frozen not in seen:
             seen.add(frozen)
             out.append(frozen)
