@@ -11,11 +11,7 @@ layer's reference is the networkx min cut in ``tests/oracles/flow.py``,
 which the reference runs patch over ``FlowNetwork.min_cut``.
 
 Acceptance gates (the ISSUE/E18 contract), all measured old-path vs
-new-path in the same process on the existing scaling workloads.  Each
-side of a speed gate runs ``TIMING_RUNS`` times through
-``conftest.alternating_runs`` (alternating which side goes first), the
-gate divides the two sides' median times, and the record lists every
-run:
+new-path in the same process on the existing scaling workloads:
 
 * **layer (a)** — witness-structure construction ≥ **3x** faster on the
   hard-scaling instances (~3000 tuples per binary relation), with the
@@ -36,12 +32,11 @@ trajectory (``repro bench --json`` emits the same record format; see
 """
 
 import json
-import statistics
 import sys
+import time
 from contextlib import contextmanager
 from pathlib import Path
 
-from conftest import TIMING_RUNS, alternating_runs, timed
 from repro.query.columnar import backend_counters, reset_backend_counters
 from repro.query.zoo import ALL_QUERIES
 from repro.resilience.exact import resilience_branch_and_bound
@@ -85,49 +80,13 @@ def _new_engines():
     return forced_engines(join="columnar")
 
 
-def _time_both(fn, repeat=1):
-    """Time ``fn`` under the reference engines and under the new ones,
-    alternating; returns ``(reference result, engine result, layer
-    record)`` where the record's speedup is the ratio of the medians.
-    Each run's time is the fastest of ``repeat`` calls
-    (``conftest.timed``)."""
-    def under(engines):
-        with engines():
-            return timed(fn, repeat)
-
-    timings = alternating_runs(
-        {
-            "reference": lambda: under(_reference_engines),
-            "engine": lambda: under(_new_engines),
-        },
-        TIMING_RUNS,
-    )
-    t_reference = statistics.median(run["reference"][0] for run in timings)
-    t_engine = statistics.median(run["engine"][0] for run in timings)
-    record = {
-        "runs": [
-            {
-                "first": run["first"],
-                "reference_seconds": round(run["reference"][0], 4),
-                "engine_seconds": round(run["engine"][0], 4),
-            }
-            for run in timings
-        ],
-        "reference_seconds": round(t_reference, 4),
-        "engine_seconds": round(t_engine, 4),
-        "repeat": repeat,
-        "speedup": round(t_reference / t_engine, 2),
-    }
-    return timings[-1]["reference"][1], timings[-1]["engine"][1], record
-
-
 def _scaling_workload():
     queries = [ALL_QUERIES[name] for name in HARD_SCALING_QUERIES]
     db = large_random_database(queries, n_tuples=3000, seed=0)
     return db, queries
 
 
-def test_layer_a_structure_construction():
+def test_layer_a_structure_construction(benchmark):
     """Gate: ≥3x faster witness-structure construction on the scaling
     workload, identical structures, vectorized join actually running."""
     db, queries = _scaling_workload()
@@ -137,12 +96,18 @@ def test_layer_a_structure_construction():
 
     with _new_engines():
         build_all()  # warm imports (scipy csgraph, numpy ufuncs)
+
     with _reference_engines():
         build_all()  # warm the reference side too
+        t0 = time.perf_counter()
+        reference = build_all()
+        t_reference = time.perf_counter() - t0
 
-    reset_backend_counters()
-    reference, engine, record = _time_both(build_all)
-    counters = backend_counters()
+    with _new_engines():
+        reset_backend_counters()
+        engine = benchmark(build_all)
+        counters = backend_counters()
+    t_engine = benchmark.stats.stats.min
 
     for ws_ref, ws_new in zip(reference, engine):
         assert ws_new.sets == ws_ref.sets
@@ -152,17 +117,24 @@ def test_layer_a_structure_construction():
     assert counters["fallback"] == 0, "vectorized join silently fell back"
     assert counters["columnar"] >= len(queries)
 
+    speedup = t_reference / t_engine
+    benchmark.extra_info["tuples"] = len(db)
+    benchmark.extra_info["queries"] = len(queries)
+    benchmark.extra_info["reference_seconds"] = round(t_reference, 4)
+    benchmark.extra_info["speedup"] = round(speedup, 2)
     RESULTS["a_structure_build"] = {
         "workload": {
             "kind": "hard_scaling",
             "n_tuples": 3000,
             "queries": list(HARD_SCALING_QUERIES),
         },
-        **record,
+        "reference_seconds": round(t_reference, 4),
+        "engine_seconds": round(t_engine, 4),
+        "speedup": round(speedup, 2),
         "gate": 3.0,
     }
-    assert record["speedup"] >= 3.0, (
-        f"witness-structure construction only {record['speedup']:.2f}x faster"
+    assert speedup >= 3.0, (
+        f"witness-structure construction only {speedup:.2f}x faster"
     )
 
 
@@ -173,7 +145,7 @@ BNB_INSTANCES = tuple(
 ) + tuple(("q_chain", 10, 0.45, seed) for seed in range(4))
 
 
-def test_layer_b_bnb_solve():
+def test_layer_b_bnb_solve(benchmark):
     """Gate: ≥2x faster exact branch-and-bound on prebuilt kernelized
     components, bit-identical results."""
     instances = []
@@ -192,10 +164,13 @@ def test_layer_b_bnb_solve():
 
     with _reference_engines():
         solve_all()  # warm
-    with _new_engines():
-        solve_all()  # warm
+        t0 = time.perf_counter()
+        reference = solve_all()
+        t_reference = time.perf_counter() - t0
 
-    reference, engine, record = _time_both(solve_all, repeat=5)
+    with _new_engines():
+        engine = benchmark(solve_all)
+    t_engine = benchmark.stats.stats.min
 
     for r_ref, r_new in zip(reference, engine):
         assert (r_new.value, r_new.contingency_set) == (
@@ -203,6 +178,10 @@ def test_layer_b_bnb_solve():
             r_ref.contingency_set,
         )
 
+    speedup = t_reference / t_engine
+    benchmark.extra_info["instances"] = len(instances)
+    benchmark.extra_info["reference_seconds"] = round(t_reference, 4)
+    benchmark.extra_info["speedup"] = round(speedup, 2)
     RESULTS["b_bnb_solve"] = {
         "workload": {
             "kind": "kernelized_bnb",
@@ -212,12 +191,12 @@ def test_layer_b_bnb_solve():
             ]
             + [{"n_instances": len(BNB_INSTANCES)}],
         },
-        **record,
+        "reference_seconds": round(t_reference, 4),
+        "engine_seconds": round(t_engine, 4),
+        "speedup": round(speedup, 2),
         "gate": 2.0,
     }
-    assert record["speedup"] >= 2.0, (
-        f"BnB solve only {record['speedup']:.2f}x faster"
-    )
+    assert speedup >= 2.0, f"BnB solve only {speedup:.2f}x faster"
 
 
 FLOW_INSTANCES = (
@@ -227,7 +206,7 @@ FLOW_INSTANCES = (
 )
 
 
-def test_layer_c_flow_solves():
+def test_layer_c_flow_solves(benchmark):
     """Gate: ≥2x faster flow-tier solves on the csgraph backbone than
     on the networkx oracle, values identical."""
     instances = []
@@ -244,13 +223,20 @@ def test_layer_c_flow_solves():
 
     with _reference_engines():
         solve_all()  # warm
-    with _new_engines():
-        solve_all()  # warm
+        t0 = time.perf_counter()
+        reference = solve_all()
+        t_reference = time.perf_counter() - t0
 
-    reference, engine, record = _time_both(solve_all, repeat=5)
+    with _new_engines():
+        engine = benchmark(solve_all)
+    t_engine = benchmark.stats.stats.min
 
     assert engine == reference
 
+    speedup = t_reference / t_engine
+    benchmark.extra_info["instances"] = len(instances)
+    benchmark.extra_info["reference_seconds"] = round(t_reference, 4)
+    benchmark.extra_info["speedup"] = round(speedup, 2)
     RESULTS["c_flow_min_cut"] = {
         "workload": {
             "kind": "flow_specials",
@@ -259,12 +245,12 @@ def test_layer_c_flow_solves():
                 for n, _fn, d, s in FLOW_INSTANCES
             ],
         },
-        **record,
+        "reference_seconds": round(t_reference, 4),
+        "engine_seconds": round(t_engine, 4),
+        "speedup": round(speedup, 2),
         "gate": 2.0,
     }
-    assert record["speedup"] >= 2.0, (
-        f"flow-tier solves only {record['speedup']:.2f}x faster"
-    )
+    assert speedup >= 2.0, f"flow-tier solves only {speedup:.2f}x faster"
 
 
 def test_answers_bit_identical_across_engines(tmp_path):

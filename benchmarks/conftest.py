@@ -8,9 +8,7 @@ recorded in ``benchmark.extra_info`` (visible in the JSON output) and
 in EXPERIMENTS.md.
 """
 
-import gc
 import itertools
-import time
 
 import pytest
 
@@ -31,49 +29,3 @@ VERDICT_SHORT = {"P": "P", "NP-complete": "NPC", "OPEN": "OPEN"}
 
 def short_verdict(classification) -> str:
     return VERDICT_SHORT[classification.verdict.value]
-
-
-# Runs per side of a speed gate.  One shot of each side moved their ratio
-# by about ±20% on a shared 2-core host.
-TIMING_RUNS = 3
-
-
-def timed(fn, repeat=1):
-    """``(seconds, result)`` for ``fn``: the fastest of ``repeat``
-    back-to-back calls, and the last call's result.
-
-    Garbage is collected first, so every timing starts from the same
-    collector state; otherwise a generation-2 pass lands in some runs
-    and not in others.  Calls of a few milliseconds take ``repeat > 1``
-    so that one slow call does not stand for the run.
-    """
-    gc.collect()
-    best = None
-    for _ in range(repeat):
-        started = time.perf_counter()
-        result = fn()
-        seconds = time.perf_counter() - started
-        best = seconds if best is None else min(best, seconds)
-    return best, result
-
-
-def alternating_runs(sides, runs=TIMING_RUNS):
-    """Call every side ``runs`` times, alternating which goes first.
-
-    ``sides`` maps a side's name to a zero-argument callable.  Even runs
-    call the sides in the mapping's order and odd runs in reverse, so
-    drift in the host's load lands on both.  Returns one dict per run:
-    ``"first"`` names the side that went first, and each side's name
-    maps to what its callable returned.  Speed gates divide the medians
-    of the two sides over these runs, never a best run, and record every
-    run.
-    """
-    names = list(sides)
-    out = []
-    for run in range(runs):
-        order = names if run % 2 == 0 else names[::-1]
-        record = {"first": order[0]}
-        for name in order:
-            record[name] = sides[name]()
-        out.append(record)
-    return out

@@ -289,7 +289,7 @@ def _atom_join_plan(cdb: ColumnarDatabase, query: ConjunctiveQuery):
     """
     from repro.query.evaluation import _join_plan
 
-    plan = _join_plan(query.atoms)
+    plan = _join_plan(query.atoms, ())
     steps = []
     for atom, step in zip(plan.atoms, plan.steps):
         entry = cdb.relations.get(atom.relation)
@@ -306,9 +306,7 @@ def _atom_join_plan(cdb: ColumnarDatabase, query: ConjunctiveQuery):
             )
             codes = codes[mask]
             ids = np.asarray(ids)[mask]
-        bound = [(slot, pos) for pos, slot in step.bound]
-        free = [(slot, pos) for pos, slot in step.free]
-        steps.append((atom, codes, ids, bound, free))
+        steps.append((atom, codes, ids, step.bound, step.free))
     return steps
 
 

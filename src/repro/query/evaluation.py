@@ -191,21 +191,15 @@ class JoinStep(NamedTuple):
 
     Each variable's first occurrence in the atom is either ``bound`` (an
     earlier atom or the seed bound it: the position is part of the index
-    key) or ``free`` (this atom binds it); both are ``(position, slot)``
+    key) or ``free`` (this atom binds it); both are ``(slot, position)``
     pairs in position order.  Every later occurrence is a ``checks``
     pair ``(position, first position)``: an equality test on the fact,
-    never a key position.  The last three fields are the same rule in
-    the form :func:`_match` reads: the key ``positions``, ``key`` (reads
-    the key from the slots; ``None`` for no key) and ``same`` (two
-    readers whose results must be equal; ``None`` for no check).
+    never a key position.
     """
 
     bound: Tuple[Tuple[int, int], ...]
     free: Tuple[Tuple[int, int], ...]
     checks: Tuple[Tuple[int, int], ...]
-    positions: Tuple[int, ...]
-    key: Optional[itemgetter]
-    same: Optional[Tuple[itemgetter, itemgetter]]
 
 
 class JoinPlan(NamedTuple):
@@ -222,12 +216,17 @@ class JoinPlan(NamedTuple):
 
 
 @lru_cache(maxsize=512)
-def _join_plan(atoms: Tuple[Atom, ...], bound: Tuple[str, ...] = ()) -> JoinPlan:
+def _join_plan(atoms: Tuple[Atom, ...], bound: Tuple[str, ...]) -> JoinPlan:
     """The join plan for a body, with ``bound`` variables seeded.
 
     Keyed on the atom tuple, not on the query: ``ConjunctiveQuery``
     equality ignores body order, and body order breaks the greedy
-    order's ties.
+    order's ties.  Every caller passes both arguments positionally, so
+    one (body, seed) is one cache entry.  A key is a body with no seed
+    (:func:`satisfies` and the witness-set joins) or seeded by one atom
+    (the incremental delta join).  Solving the perfbench timed lists at
+    seed 7 makes 49 keys on ``zoo_small``, 5 on ``np_exact`` and 6 on
+    ``np_approx``, well below the cap.
     """
     ordered = _order_atoms(atoms, bound)
     slot_of: Dict[str, int] = {var: slot for slot, var in enumerate(bound)}
@@ -245,55 +244,39 @@ def _join_plan(atoms: Tuple[Atom, ...], bound: Tuple[str, ...] = ()) -> JoinPlan
             slot = slot_of.get(var)
             if slot is None:
                 slot = slot_of[var] = len(slot_of)
-                free.append((pos, slot))
+                free.append((slot, pos))
             else:
-                keyed.append((pos, slot))
-        steps.append(
-            JoinStep(
-                tuple(keyed),
-                tuple(free),
-                tuple(checks),
-                tuple(pos for pos, _slot in keyed),
-                itemgetter(*(slot for _pos, slot in keyed)) if keyed else None,
-                (
-                    itemgetter(*(pos for pos, _first in checks)),
-                    itemgetter(*(first for _pos, first in checks)),
-                )
-                if checks
-                else None,
-            )
-        )
+                keyed.append((slot, pos))
+        steps.append(JoinStep(tuple(keyed), tuple(free), tuple(checks)))
     return JoinPlan(tuple(slot_of), tuple(ordered), tuple(steps))
 
 
-def _match(steps, tables, slots: list, facts: list, depth: int):
+def _match(steps, slots: list, facts: list, depth: int):
     """Match ``steps[depth:]`` in turn; yields the tuple of matched
     facts, one per step in join order, for every witness.
 
-    ``tables[i]`` is step ``i``'s relation: its fact list when the step
-    has no key, else its index on the key positions.  ``slots`` holds
-    the variable values bound so far; when a tuple is yielded it holds
-    the witness's full valuation.  Module-level rather than a closure: a
-    nested generator that calls itself holds a reference cycle through
-    its closure cell, which would keep every per-call
-    :class:`DatabaseIndex` alive until the cyclic garbage collector
-    runs.
+    Each step is ``(free, key, same, table)`` (see :func:`_matches`).
+    ``slots`` holds the variable values bound so far; when a tuple is
+    yielded it holds the witness's full valuation.  Module-level rather
+    than a closure: a nested generator that calls itself holds a
+    reference cycle through its closure cell, which would keep every
+    per-call :class:`DatabaseIndex` alive until the cyclic garbage
+    collector runs.
     """
-    _bound, free, _checks, _positions, key, same = steps[depth]
-    table = tables[depth]
+    free, key, same, table = steps[depth]
     candidates = table if key is None else table.get(key(slots), ())
     last = depth + 1 == len(steps)
     for fact in candidates:
         values = fact.values
         if same is not None and same[0](values) != same[1](values):
             continue
-        for pos, slot in free:
+        for slot, pos in free:
             slots[slot] = values[pos]
         facts[depth] = fact
         if last:
             yield tuple(facts)
         else:
-            yield from _match(steps, tables, slots, facts, depth + 1)
+            yield from _match(steps, slots, facts, depth + 1)
 
 
 def _matches(
@@ -303,20 +286,39 @@ def _matches(
     slots: list,
 ) -> Iterator[Tuple[DBTuple, ...]]:
     """Run ``plan`` over ``database``: the matched-fact tuple of every
-    witness (see :func:`_match`).  An atom whose arity differs from its
-    relation's matches no fact."""
+    witness (see :func:`_match`).
+
+    Each plan step becomes ``(free, key, same, table)`` for this call:
+    ``key`` reads the bound slots and ``table`` is the relation's index
+    on the bound positions, or ``None`` and the relation's fact list
+    when the step binds nothing; ``same`` holds two readers of the fact
+    whose results must be equal (``None`` when the atom repeats no
+    variable).  An atom whose arity differs from its relation's matches
+    no fact.
+    """
     if index is None:
         index = DatabaseIndex(database)
     relations = database.relations
-    tables = []
+    steps = []
     for atom, step in zip(plan.atoms, plan.steps):
+        key = same = None
+        if step.bound:
+            key = itemgetter(*(slot for slot, _pos in step.bound))
+        if step.checks:
+            same = (
+                itemgetter(*(pos for pos, _first in step.checks)),
+                itemgetter(*(first for _pos, first in step.checks)),
+            )
         rel = relations.get(atom.relation)
         if rel is not None and rel.arity != len(atom.args):
-            tables.append({} if step.key else [])
-            continue
-        facts = index.for_relation(atom.relation)
-        tables.append(facts.table(step.positions) if step.key else facts.facts)
-    return _match(plan.steps, tables, slots, [None] * len(plan.atoms), 0)
+            table = {} if step.bound else []
+        elif step.bound:
+            positions = tuple(pos for _slot, pos in step.bound)
+            table = index.for_relation(atom.relation).table(positions)
+        else:
+            table = index.for_relation(atom.relation).facts
+        steps.append((step.free, key, same, table))
+    return _match(steps, slots, [None] * len(steps), 0)
 
 
 #: Cap on :func:`witness_estimate`: the product of relation sizes stops
@@ -423,7 +425,7 @@ def satisfies(
     index: Optional[DatabaseIndex] = None,
 ) -> bool:
     """``D |= q``: does at least one witness exist?"""
-    plan = _join_plan(query.atoms)
+    plan = _join_plan(query.atoms, ())
     for _ in _matches(plan, database, index, [None] * len(plan.variables)):
         return True
     return False
@@ -488,7 +490,7 @@ def _witness_tuple_sets_reference(
     use this entry point directly so the vectorized attempt is not
     repeated — and not double-counted in the backend counters.
     """
-    plan = _join_plan(query.atoms)
+    plan = _join_plan(query.atoms, ())
     keep = None
     if endogenous_only:
         relations = database.relations

@@ -3,9 +3,7 @@
 :func:`solve` routes a (query, database) pair to the best available
 algorithm:
 
-1. databases not satisfying the query have resilience 0 (pairs bound
-   for case 4 read this off the witness structure they are solved on;
-   the others run the satisfiability probe);
+1. databases not satisfying the query have resilience 0;
 2. queries that are *signature-identical* to one of the paper's named
    PTIME queries use the bespoke algorithm proved for them
    (Propositions 12, 13, 33, 36, 41, 44);
@@ -33,13 +31,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from repro.db.database import Database
 from repro.query.cq import ConjunctiveQuery
 from repro.query.evaluation import DatabaseIndex, satisfies
 from repro.query.zoo import ALL_QUERIES
-from repro.witness import WitnessStructure, witness_structure
+from repro.witness import WitnessStructure
 from repro.resilience.exact import resilience_exact
 from repro.resilience.flow_linear import LinearFlowSolver
 from repro.resilience.flow_special import (
@@ -335,42 +333,19 @@ def solve(
     if method is not None:
         raise ValueError(f"unknown method {method!r}")
 
-    plan = dispatch_plan_for(database, query, weighted=effective)
-    satisfied, structure = _satisfied(
-        plan, database, query, structure, index, effective
-    )
+    if structure is not None:
+        satisfied = structure.satisfied
+    else:
+        satisfied = satisfies(database, query, index=index)
     if not satisfied:
         return ResilienceResult(0, frozenset(), method="unsatisfied")
+
+    plan = dispatch_plan_for(database, query, weighted=effective)
     if plan.kind == "exact":
         return resilience_exact(
             database, query, structure=structure, index=index, weighted=effective
         )
     return plan.run(database)
-
-
-def _satisfied(
-    plan: DispatchPlan,
-    database: Database,
-    query: ConjunctiveQuery,
-    structure: Optional[WitnessStructure],
-    index: Optional[DatabaseIndex],
-    weighted: bool,
-) -> Tuple[bool, Optional[WitnessStructure]]:
-    """``(D |= q, structure)`` for a pair about to run ``plan``.
-
-    An exact plan solves on the witness structure, which decides
-    satisfiability itself (no witnesses), so it is fetched here (and
-    cached) when the caller passed none, and no separate probe runs.
-    The polynomial plans never build one: they run :func:`satisfies`
-    unless the caller passed a structure.
-    """
-    if plan.kind == "exact" and structure is None:
-        structure = witness_structure(
-            database, query, index=index, weighted=weighted
-        )
-    if structure is not None:
-        return structure.satisfied, structure
-    return satisfies(database, query, index=index), None
 
 
 def _solve_bounded(
@@ -393,14 +368,16 @@ def _solve_bounded(
     (for dispatch-exact instances: closed) interval once.
     """
     budget = Budget.coerce(budget)
-    plan = dispatch_plan_for(database, query, weighted=weighted)
-    satisfied, structure = _satisfied(
-        plan, database, query, structure, index, weighted
-    )
+    if structure is not None:
+        satisfied = structure.satisfied
+    else:
+        satisfied = satisfies(database, query, index=index)
     if not satisfied:
         if on_interval is not None:
             on_interval(0, 0)
         return BoundedResilienceResult(0, 0, frozenset(), method="unsatisfied")
+
+    plan = dispatch_plan_for(database, query, weighted=weighted)
     if plan.kind != "exact":
         exact = plan.run(database)
         if on_interval is not None:
